@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     # -- 1. empty plan == plain PR-5 server ------------------------------
     baseline_config = ServerConfig(workers=2, queue_depth=64)
     workload_config = WorkloadConfig(seed=args.chaos_seed,
-                                     requests=args.requests, clients=4)
+                                     requests=args.requests)
     empty = run_chaos(snapshot, FaultPlan.empty(),
                       workload_config=workload_config,
                       server_config=baseline_config, clients=4,
@@ -136,8 +136,7 @@ def main(argv=None) -> int:
         report = run_chaos(
             snapshot, plan,
             workload_config=WorkloadConfig(seed=args.chaos_seed + offset,
-                                           requests=args.requests,
-                                           clients=setup["clients"]),
+                                           requests=args.requests),
             server_config=ServerConfig(workers=setup["workers"],
                                        queue_depth=setup["queue_depth"]),
             clients=setup["clients"], deadline_s=args.deadline)

@@ -172,8 +172,7 @@ def main(argv=None) -> int:
     server = AnnotationServer(loaded, config)
     workload = generate_workload(
         server.index, WorkloadConfig(seed=args.load_seed,
-                                     requests=args.requests,
-                                     clients=args.clients))
+                                     requests=args.requests))
     with server:
         report = run_load(server, workload, clients=args.clients)
     if report.errors:
@@ -197,7 +196,7 @@ def main(argv=None) -> int:
     overload_workload = generate_workload(
         overload_server.index,
         WorkloadConfig(seed=args.load_seed + 1,
-                       requests=overload_requests, clients=32))
+                       requests=overload_requests))
     with overload_server:
         overload = run_load(overload_server, overload_workload, clients=32)
         queue_bound = overload_server._queue.maxsize

@@ -11,11 +11,12 @@ Five phases, each with hard assertions (this doubles as the CI smoke):
    compliance scans) and require byte-identical response bodies across
    shard counts {1, 2, 4, 7}, a shuffled record order, and a cold vs.
    warm result cache — all compared against the single-index engine.
-3. **Async front end vs. threaded baseline** — the same zipfian
-   closed-loop workload through (a) the blocking threaded client path on
-   a single-shard server and (b) the asyncio front end on a sharded
-   server; requires the async path to keep up with the baseline (its
-   event-loop cache fast path skips the queue round trip entirely).
+3. **Async front end vs. submit-path baseline** — the same zipfian
+   closed-loop workload, from the same coroutine clients, through (a)
+   ``AnnotationServer.submit`` on a single-shard server and (b) the
+   asyncio front end on a sharded server; requires the async path to
+   keep up with the baseline (its event-loop cache fast path skips the
+   queue round trip entirely).
 4. **Shard sweep** — async throughput for each shard count, recorded.
 5. **Multi-tenant fairness** — one well-behaved tenant and one flooding
    tenant share a server; requires the flooder to be shed (per-tenant
@@ -56,7 +57,6 @@ from repro.serve import (
     SectorAggregate,
     ServerConfig,
     TableAggregate,
-    TenantLoadSpec,
     TenantQuota,
     TenantRegistry,
     TopDescriptors,
@@ -66,7 +66,7 @@ from repro.serve import (
     load_sharded_snapshot,
     partition_snapshot,
     run_load,
-    run_tenant_load,
+    run_tenants,
     snapshot_from_result,
     write_sharded_snapshot,
 )
@@ -209,14 +209,13 @@ def main(argv=None) -> int:
           f"across shard counts {SHARD_COUNTS}, shuffled record order, "
           f"and cold/warm cache")
 
-    # -- 3. async front end vs. threaded baseline -----------------------
-    workload_config = WorkloadConfig(seed=args.load_seed,
-                                     requests=args.requests,
-                                     clients=args.clients)
+    # -- 3. async front end vs. submit-path baseline --------------------
     baseline_config = ServerConfig(workers=2, queue_depth=256,
                                    cache_entries=512)
     baseline_server = AnnotationServer(snapshot, baseline_config)
-    workload = generate_workload(baseline_server.index, workload_config)
+    workload = generate_workload(
+        baseline_server.index,
+        WorkloadConfig(seed=args.load_seed, requests=args.requests))
     with baseline_server:
         baseline = run_load(baseline_server, workload,
                             clients=args.clients)
@@ -232,16 +231,13 @@ def main(argv=None) -> int:
         registry.register("bench",
                           TenantQuota(max_inflight=args.clients))
         front = AsyncFrontEnd(server, registry)
-        spec = TenantLoadSpec(name="bench", requests=args.requests,
-                              concurrency=args.clients,
-                              seed=args.load_seed)
         with server:
-            report = run_tenant_load(front, [spec])
-        tenant = report.tenants["bench"]
-        if tenant.errors or tenant.shed:
+            report = run_tenants(
+                front, {"bench": (workload, args.clients)})["bench"]
+        if report.errors or report.shed:
             raise SystemExit(
                 f"FAIL: async run (shards={shards}) saw "
-                f"{tenant.errors} errors / {tenant.shed} sheds")
+                f"{report.errors} errors / {report.shed} sheds")
         return report
 
     async_reports = {shards: async_run(shards)
@@ -251,14 +247,14 @@ def main(argv=None) -> int:
     best_shards = max(SHARD_COUNTS,
                       key=lambda s: async_reports[s].throughput_rps)
     best_rps = async_reports[best_shards].throughput_rps
-    print(f"throughput: threaded baseline {baseline_rps:.0f} req/s, "
+    print(f"throughput: submit-path baseline {baseline_rps:.0f} req/s, "
           f"async 1-shard {async_rps:.0f} req/s, async best "
           f"{best_rps:.0f} req/s at {best_shards} shards")
-    # The async front end must at least keep up with the threaded
-    # blocking path on the same workload (small tolerance for noise).
+    # The async front end must at least keep up with the submit path
+    # on the same workload (small tolerance for noise).
     if best_rps < baseline_rps * 0.95:
         raise SystemExit(
-            f"FAIL: async front end lost to the threaded baseline: "
+            f"FAIL: async front end lost to the submit-path baseline: "
             f"{best_rps:.0f} < {baseline_rps:.0f} req/s")
 
     # -- 4. shard sweep (recorded above) --------------------------------
@@ -266,7 +262,7 @@ def main(argv=None) -> int:
         str(shards): {
             "throughput_rps": round(report.throughput_rps, 2),
             "requests": report.requests,
-            "cached": report.tenants["bench"].cached,
+            "cached": report.cached,
         }
         for shards, report in async_reports.items()}
 
@@ -282,15 +278,20 @@ def main(argv=None) -> int:
         raise SystemExit("FAIL: global queue shallower than the sum of "
                          "tenant caps — fairness guarantee void")
     steady_requests = max(300, min(1200, args.requests // 4))
+
+    def tenant_workload(seed: int, requests: int) -> list:
+        return generate_workload(fairness_server.index, WorkloadConfig(
+            seed=seed, requests=requests))
+
     with fairness_server:
-        fairness = run_tenant_load(front, [
-            TenantLoadSpec(name="steady", requests=steady_requests,
-                           concurrency=4, seed=args.load_seed + 1),
-            TenantLoadSpec(name="flood", requests=steady_requests * 2,
-                           concurrency=24, seed=args.load_seed + 2),
-        ])
-    steady = fairness.tenants["steady"]
-    flood = fairness.tenants["flood"]
+        fairness = run_tenants(front, {
+            "steady": (tenant_workload(args.load_seed + 1,
+                                       steady_requests), 4),
+            "flood": (tenant_workload(args.load_seed + 2,
+                                      steady_requests * 2), 24),
+        })
+    steady = fairness["steady"]
+    flood = fairness["flood"]
     if flood.shed == 0:
         raise SystemExit("FAIL: flooding tenant was never shed — "
                          "per-tenant admission control never engaged")
@@ -321,7 +322,8 @@ def main(argv=None) -> int:
         "async_best": {"shards": best_shards,
                        "throughput_rps": round(best_rps, 2)},
         "shard_sweep": shard_sweep,
-        "fairness": fairness.as_dict(),
+        "fairness": {"tenants": {name: report.as_dict()
+                                 for name, report in fairness.items()}},
     }
     write_json_atomic(args.out, payload)
     print(f"wrote {args.out}")

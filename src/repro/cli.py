@@ -317,16 +317,6 @@ def _load_snapshot_arg(path):
         raise CLIUsageError(str(exc))
 
 
-def _engine_for(snapshot):
-    """Query engine for either snapshot shape; answers are byte-identical."""
-    from repro.serve import CorpusIndex, QueryEngine, ShardedEngine, \
-        ShardedSnapshot
-
-    if isinstance(snapshot, ShardedSnapshot):
-        return ShardedEngine(snapshot)
-    return QueryEngine(CorpusIndex.build(snapshot))
-
-
 def _snapshot_records(snapshot) -> list:
     from repro.serve import ShardedSnapshot
 
@@ -371,9 +361,10 @@ def _snapshot_query(args):
 
 def cmd_query(args) -> int:
     from repro.errors import QueryError
+    from repro.serve import engine_for
 
     query = _snapshot_query(args)
-    engine = _engine_for(_load_snapshot_arg(args.snapshot))
+    engine = engine_for(_load_snapshot_arg(args.snapshot))
     try:
         print(engine.execute(query).to_json())
     except QueryError as exc:
@@ -420,7 +411,7 @@ def cmd_compliance(args) -> int:
     from repro.compliance import ReferenceEvaluator, compile_record, \
         parse_predicate
     from repro.errors import ComplianceError, PredicateError, QueryError
-    from repro.serve import PredicateQuery, query_kind
+    from repro.serve import PredicateQuery, engine_for, query_kind
 
     query = _compliance_query(args)
     snapshot = _load_snapshot_arg(args.snapshot)
@@ -451,7 +442,7 @@ def cmd_compliance(args) -> int:
     try:
         indexed_body = oracle_body = None
         if args.engine in ("indexed", "check"):
-            engine = _engine_for(snapshot)
+            engine = engine_for(snapshot)
             indexed_body = engine.execute(query).to_json()
         if args.engine in ("oracle", "check"):
             oracle = ReferenceEvaluator(records)
@@ -654,8 +645,7 @@ def cmd_bench_serve(args) -> int:
                           shards=args.shards)
     server = AnnotationServer(snapshot, config)
     workload_config = WorkloadConfig(seed=args.load_seed,
-                                     requests=args.requests,
-                                     clients=args.clients)
+                                     requests=args.requests)
     workload = generate_workload(server.index, workload_config)
     with server:
         report = run_load(server, workload, clients=args.clients)
@@ -721,8 +711,7 @@ def cmd_chaos(args) -> int:
     report = run_chaos(
         snapshot, plan,
         workload_config=WorkloadConfig(seed=args.load_seed,
-                                       requests=args.requests,
-                                       clients=args.clients),
+                                       requests=args.requests),
         server_config=config, clients=args.clients,
         deadline_s=args.deadline, shards=shards)
     payload = {

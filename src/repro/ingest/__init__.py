@@ -14,7 +14,7 @@ serving layer swaps the refreshed snapshot in atomically under load
 changes that drive it all.
 """
 
-from repro.ingest.live import SwapLoadReport, oracle_bodies, run_swap_load
+from repro.ingest.live import SwapLoadReport, run_swap_load
 from repro.ingest.mutate import (
     PolicyChangeFeed,
     mutable_domains,
@@ -53,7 +53,6 @@ __all__ = [
     "crawl_content_fingerprint",
     "mutable_domains",
     "mutate_domain",
-    "oracle_bodies",
     "refresh_differential",
     "run_swap_load",
     "touch_domain",

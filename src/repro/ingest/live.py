@@ -1,13 +1,14 @@
 """Swap-under-load harness: prove a live snapshot swap drops nothing.
 
-:func:`run_swap_load` drives a closed-loop concurrent workload against a
-started :class:`~repro.serve.server.AnnotationServer`, performs an
-atomic :meth:`~repro.serve.server.AnnotationServer.swap_snapshot`
-mid-run, and verifies the two invariants the live-swap design claims:
+:func:`run_swap_load` drives a closed-loop workload through the one load
+driver (:func:`~repro.serve.loadgen.run_load`) against a started
+:class:`~repro.serve.server.AnnotationServer`, performs an atomic
+:meth:`~repro.serve.server.AnnotationServer.swap_snapshot` mid-run, and
+verifies the two invariants the live-swap design claims:
 
-- **Zero dropped requests.** Every submitted request resolves (OK, an
-  explicit shed, or an explicit error) within the timeout; ``dropped``
-  counts the ones that did not.
+- **Zero dropped requests.** Every request resolves (OK, an explicit
+  shed, or an explicit error) within the client deadline; ``dropped``
+  counts the ones that did not (the driver's timeouts).
 - **No wrong bytes.** Every OK body must be byte-identical to the answer
   of *some* installed generation — the pre-swap oracle or the post-swap
   oracle, both computed up front from the snapshots themselves. A body
@@ -33,28 +34,36 @@ and the byte invariant must still hold for every OK body.
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+import asyncio
+from dataclasses import dataclass
 
-from repro.errors import QueryError
-from repro.serve.index import CorpusIndex
-from repro.serve.query import QueryEngine, query_fingerprint
-from repro.serve.server import ERROR, OK, OVERLOADED, AnnotationServer
-from repro.serve.shard import ShardedEngine, ShardedSnapshot
+from repro.serve.loadgen import (
+    TIMEOUT,
+    LoadReport,
+    Outcome,
+    load_tally,
+    oracle_answers,
+    run_load,
+)
+from repro.serve.query import query_fingerprint
+from repro.serve.server import OK, AnnotationServer
+
+#: Distinct workload queries sent again once the swap has returned.
+_POST_PROBES = 16
+#: Seconds a request may stay unanswered before it counts as dropped.
+_DEADLINE_S = 60.0
 
 
 @dataclass
 class SwapLoadReport:
-    """What a swap-under-load run observed."""
+    """What a swap-under-load run observed.
 
-    requests: int = 0
-    ok: int = 0
-    shed: int = 0
-    errors: int = 0
-    #: Requests that never resolved within the timeout — must be 0.
-    dropped: int = 0
+    Request tallies are views of ``load``, the run's :class:`LoadReport`;
+    the fields here are only what the swap checks found.
+    """
+
+    load: LoadReport
+    swap: dict
     #: OK bodies matching neither generation's oracle — must be 0.
     wrong_bytes: int = 0
     #: OK bodies only the old / only the new / either oracle explains.
@@ -63,12 +72,18 @@ class SwapLoadReport:
     served_both: int = 0
     #: Post-swap probes: requests submitted strictly after swap_snapshot
     #: returned, which the atomicity contract binds to the new
-    #: generation. ``post_wrong`` counts any that served non-new bytes.
+    #: generation. ``post_wrong`` counts any that served non-new bytes
+    #: or never resolved.
     post_requests: int = 0
     post_ok: int = 0
     post_wrong: int = 0
-    wall_s: float = 0.0
-    swap: dict = field(default_factory=dict)
+
+    requests = load_tally("requests")
+    ok = load_tally("ok")
+    shed = load_tally("shed")
+    errors = load_tally("errors")
+    #: Requests that never resolved within the deadline — must be 0.
+    dropped = load_tally("timeouts")
 
     @property
     def clean(self) -> bool:
@@ -96,141 +111,86 @@ class SwapLoadReport:
             "post_wrong": self.post_wrong,
             "clean": self.clean,
             "swap_effective": self.swap_effective,
-            "wall_s": round(self.wall_s, 4),
+            "wall_s": round(self.load.wall_s, 4),
             "swap": self.swap,
         }
 
 
-def _engine_for(snapshot):
-    if isinstance(snapshot, ShardedSnapshot):
-        return ShardedEngine(snapshot)
-    return QueryEngine(CorpusIndex.build(snapshot))
-
-
-def oracle_bodies(snapshot, workload) -> dict[str, str]:
-    """``query fingerprint → canonical body`` for one snapshot.
-
-    Computed single-threaded through the plain engine — no server, no
-    cache — so it is the ground truth a generation must serve.
-    """
-    engine = _engine_for(snapshot)
-    bodies: dict[str, str] = {}
-    for query in workload:
-        try:
-            key = query_fingerprint(query)
-        except QueryError:
+def _generation_tally(outcomes: list[Outcome], old: list[tuple[str, str]],
+                      new: list[tuple[str, str]]) -> dict[str, int]:
+    """Which generation's oracle explains each OK body."""
+    tally = dict.fromkeys(("served_both", "served_old_only",
+                           "served_new_only", "wrong_bytes"), 0)
+    for outcome, before, after in zip(outcomes, old, new):
+        if outcome.status != OK:
             continue
-        if key not in bodies:
-            bodies[key] = engine.execute(query).to_json()
-    return bodies
+        answer = (OK, outcome.body)
+        if answer == before:
+            tally["served_both" if answer == after
+                  else "served_old_only"] += 1
+        else:
+            tally["served_new_only" if answer == after
+                  else "wrong_bytes"] += 1
+    return tally
+
+
+def _probe_tally(probes: list[tuple[int, Outcome]],
+                 new: list[tuple[str, str]]) -> tuple[int, int]:
+    """``(post_ok, post_wrong)`` of the post-swap probes.
+
+    A shed or an explicit error (e.g. an injected chaos fault) is neither
+    a byte violation nor proof the swap landed, so it counts as neither.
+    """
+    post_ok = post_wrong = 0
+    for index, outcome in probes:
+        if outcome.status == OK and new[index] == (OK, outcome.body):
+            post_ok += 1
+        elif outcome.status in (OK, TIMEOUT):
+            post_wrong += 1
+    return post_ok, post_wrong
 
 
 def run_swap_load(server: AnnotationServer, workload, new_snapshot, *,
-                  clients: int = 4, swap_after: int | None = None,
-                  post_probes: int = 16,
-                  timeout_s: float = 60.0) -> SwapLoadReport:
-    """Drive ``workload`` through ``clients`` threads, swapping mid-run.
+                  clients: int = 4,
+                  swap_after: int | None = None) -> SwapLoadReport:
+    """Drive ``workload`` through ``clients`` closed-loop clients,
+    swapping mid-run.
 
-    The swap happens on the calling thread once ``swap_after`` responses
-    (default: half the workload) have resolved; client threads never
-    pause. After the swap returns, up to ``post_probes`` distinct
-    workload queries are re-submitted (possibly while client threads are
+    Once ``swap_after`` requests (default: half the workload) have
+    resolved, ``swap_snapshot`` runs off the event loop, in an executor
+    thread, while the clients keep sending. After it returns, up to 16
+    distinct workload queries are sent again (possibly while clients are
     still draining) and must serve new-generation bytes. The server must
     already be started.
     """
-    old_oracle = oracle_bodies(server.snapshot, workload)
-    new_oracle = oracle_bodies(new_snapshot, workload)
+    old_oracle = oracle_answers(server.snapshot, workload)
+    new_oracle = oracle_answers(new_snapshot, workload)
+    first_seen: dict[str, int] = {}
+    for index, query in enumerate(workload):
+        if len(first_seen) == _POST_PROBES:
+            break
+        first_seen.setdefault(query_fingerprint(query), index)
+    swap = None
+    probes: list[tuple[int, Outcome]] = []
+
+    async def swap_then_probe(request) -> None:
+        nonlocal swap
+        swap = await asyncio.get_running_loop().run_in_executor(
+            None, server.swap_snapshot, new_snapshot)
+        for index in first_seen.values():
+            probes.append((index, await request(workload[index])))
+
     threshold = swap_after if swap_after is not None else len(workload) // 2
-
-    completed = threading.Semaphore(0)
-    results: list[list] = [[] for _ in range(clients)]
-    dropped = [0] * clients
-
-    def client(worker_id: int) -> None:
-        for query in workload[worker_id::clients]:
-            try:
-                response = server.submit(query).result(timeout=timeout_s)
-            except FutureTimeout:
-                dropped[worker_id] += 1
-                completed.release()
-                continue
-            results[worker_id].append((query, response))
-            completed.release()
-
-    started = time.perf_counter()
-    threads = [threading.Thread(target=client, args=(n,), daemon=True)
-               for n in range(clients)]
-    for thread in threads:
-        thread.start()
-    for _ in range(min(threshold, len(workload))):
-        completed.acquire()
-    swap = server.swap_snapshot(new_snapshot)
-
-    # Post-swap probes: submitted strictly after swap_snapshot returned,
-    # so the atomicity contract pins them to the new generation. Client
-    # threads may still be draining — sheds are retried, not failures.
-    probe_tallies = [0, 0]  # [post_ok, post_wrong]
-    probed = set()
-    for query in workload:
-        if len(probed) >= post_probes:
-            break
-        key = query_fingerprint(query)
-        if key in probed:
-            continue
-        probed.add(key)
-        for _ in range(8):  # bounded retry on admission-control sheds
-            try:
-                response = server.submit(query).result(timeout=timeout_s)
-            except FutureTimeout:
-                probe_tallies[1] += 1
-                break
-            if response.status == OVERLOADED:
-                continue
-            if response.status == OK:
-                matched = new_oracle.get(key) == response.body
-                probe_tallies[0 if matched else 1] += 1
-            # explicit ERROR (e.g. an injected chaos fault): neither a
-            # byte violation nor proof the swap landed — no tally.
-            break
-
-    for thread in threads:
-        thread.join()
-
-    report = SwapLoadReport(wall_s=time.perf_counter() - started,
-                            swap=swap.to_payload())
-    report.post_requests = len(probed)
-    report.post_ok, report.post_wrong = probe_tallies
-    report.dropped = sum(dropped)
-    report.requests = sum(dropped)
-    for bucket in results:
-        for query, response in bucket:
-            report.requests += 1
-            if response.status == OVERLOADED:
-                report.shed += 1
-                continue
-            if response.status == ERROR:
-                report.errors += 1
-                continue
-            if response.status != OK:  # defensive: unknown status
-                report.errors += 1
-                continue
-            report.ok += 1
-            key = query_fingerprint(query)
-            in_old = old_oracle.get(key) == response.body
-            in_new = new_oracle.get(key) == response.body
-            if in_old and in_new:
-                report.served_both += 1
-            elif in_old:
-                report.served_old_only += 1
-            elif in_new:
-                report.served_new_only += 1
-            else:
-                report.wrong_bytes += 1
-    return report
+    load = run_load(server, workload, clients, deadline_s=_DEADLINE_S,
+                    midrun=(threshold, swap_then_probe))
+    post_ok, post_wrong = _probe_tally(probes, new_oracle)
+    return SwapLoadReport(
+        load=load, swap=swap.to_payload(), post_requests=len(probes),
+        post_ok=post_ok, post_wrong=post_wrong,
+        **_generation_tally(load.outcomes, old_oracle, new_oracle))
 
 
 __all__ = [
     "SwapLoadReport",
-    "oracle_bodies",
     "run_swap_load",
 ]

@@ -12,29 +12,25 @@ interactive latency, offline-benchmarkable at production shape:
    canonical fingerprints.
 4. :mod:`repro.serve.server` — bounded-queue serving loop with
    load-shedding, a TTL+LRU hot-result cache, and latency metrics.
-5. :mod:`repro.serve.loadgen` — seeded closed-loop load generation
-   (zipfian popularity, mixed query classes).
+5. :mod:`repro.serve.loadgen` — seeded workload generation (zipfian
+   popularity, mixed query classes) and the one closed-loop load driver
+   every serve number, chaos run, swap run and tenant run goes through.
 6. :mod:`repro.serve.chaos` — deterministic fault injection with
    shed-never-stall / never-a-wrong-byte / recover invariants checked
    against a fault-free oracle.
 7. :mod:`repro.serve.shard` — hash-partitioned snapshots and a
    scatter-gather engine whose merged answers are byte-identical to the
    single-index engine.
-8. :mod:`repro.serve.aserver` — asyncio front end with API-key tenancy,
-   per-tenant admission control, and a multi-tenant load runner.
+8. :mod:`repro.serve.aserver` — asyncio front end with API-key tenancy
+   and per-tenant admission control.
 """
 
 from repro.serve.aserver import (
     AsyncFrontEnd,
-    MultiTenantReport,
     Tenant,
-    TenantLoadReport,
-    TenantLoadSpec,
     TenantQuota,
     TenantRegistry,
     derive_api_key,
-    drive_tenants,
-    run_tenant_load,
 )
 from repro.serve.chaos import (
     FAULT_CLASSES,
@@ -53,10 +49,14 @@ from repro.serve.chaos import (
 from repro.serve.index import COMPLIANCE_PACKS, FACETS, TABLES, CorpusIndex
 from repro.serve.loadgen import (
     DEFAULT_MIX,
+    TIMEOUT,
     LoadReport,
+    Outcome,
     WorkloadConfig,
     generate_workload,
+    oracle_answers,
     run_load,
+    run_tenants,
     zipf_weights,
 )
 from repro.serve.query import (
@@ -93,6 +93,7 @@ from repro.serve.shard import (
     SHARDED_SCHEMA_VERSION,
     ShardedEngine,
     ShardedSnapshot,
+    engine_for,
     load_sharded_snapshot,
     merged_snapshot,
     partition_snapshot,
@@ -112,18 +113,14 @@ from repro.serve.snapshot import (
 
 __all__ = [
     "AsyncFrontEnd",
-    "MultiTenantReport",
     "Tenant",
-    "TenantLoadReport",
-    "TenantLoadSpec",
     "TenantQuota",
     "TenantRegistry",
     "derive_api_key",
-    "drive_tenants",
-    "run_tenant_load",
     "SHARDED_SCHEMA_VERSION",
     "ShardedEngine",
     "ShardedSnapshot",
+    "engine_for",
     "load_sharded_snapshot",
     "merged_snapshot",
     "partition_snapshot",
@@ -148,10 +145,14 @@ __all__ = [
     "TABLES",
     "CorpusIndex",
     "DEFAULT_MIX",
+    "TIMEOUT",
     "LoadReport",
+    "Outcome",
     "WorkloadConfig",
     "generate_workload",
+    "oracle_answers",
     "run_load",
+    "run_tenants",
     "zipf_weights",
     "AspectMentions",
     "ComplianceScan",

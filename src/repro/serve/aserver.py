@@ -16,8 +16,9 @@ worker pool and moves admission **per tenant**:
   Size the server's global queue at or above the sum of tenant caps and
   an admitted request can never hit ``queue.Full`` — the global queue
   stops being a shared failure domain, which is the fairness property
-  the multi-tenant load runner asserts (a flooding tenant is shed while
-  a well-behaved tenant's error rate stays zero).
+  a multi-tenant :func:`~repro.serve.loadgen.run_tenants` run asserts (a
+  flooding tenant is shed while a well-behaved tenant's error rate stays
+  zero).
 - **Inline cache-hit fast path.** Cache hits are served directly on the
   event loop (:meth:`AnnotationServer.try_cached` — byte-verified,
   metric-recorded), skipping the submit/queue/worker/future round trip
@@ -51,8 +52,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.errors import QueryError, TenancyError
-from repro.serve.loadgen import DEFAULT_MIX, WorkloadConfig, \
-    generate_workload
 from repro.serve.query import Query, query_kind
 from repro.serve.server import (
     ERROR,
@@ -60,7 +59,6 @@ from repro.serve.server import (
     OVERLOADED,
     AnnotationServer,
     ServeResponse,
-    percentile,
 )
 
 
@@ -255,152 +253,10 @@ class AsyncFrontEnd:
         return response
 
 
-# -- multi-tenant load runner --------------------------------------------
-
-
-@dataclass(frozen=True)
-class TenantLoadSpec:
-    """One tenant's traffic shape for a multi-tenant run.
-
-    ``concurrency`` is the tenant's closed-loop parallelism: at most that
-    many of its requests are in flight at once. A *well-behaved* tenant
-    keeps ``concurrency <= quota.max_inflight`` and is never shed; a
-    *flooding* tenant sets it higher and eats per-tenant sheds without
-    touching anyone else's capacity.
-    """
-
-    name: str
-    requests: int = 200
-    concurrency: int = 4
-    seed: int = 0
-    zipf_s: float = 1.1
-    mix: tuple[tuple[str, float], ...] = DEFAULT_MIX
-
-    def __post_init__(self) -> None:
-        if self.requests < 1:
-            raise TenancyError(
-                f"requests must be >= 1, got {self.requests}")
-        if self.concurrency < 1:
-            raise TenancyError(
-                f"concurrency must be >= 1, got {self.concurrency}")
-
-
-@dataclass
-class TenantLoadReport:
-    """What one tenant observed during a multi-tenant run."""
-
-    name: str
-    requests: int = 0
-    ok: int = 0
-    shed: int = 0
-    errors: int = 0
-    cached: int = 0
-    latencies: list[float] = field(default_factory=list)
-
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.requests if self.requests else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "shed": self.shed,
-            "errors": self.errors,
-            "error_rate": round(self.error_rate, 6),
-            "cached": self.cached,
-            "latency_ms": {
-                label: round(percentile(self.latencies, pct) * 1000.0, 4)
-                for label, pct in (("p50", 50.0), ("p95", 95.0),
-                                   ("p99", 99.0))
-            },
-        }
-
-
-@dataclass
-class MultiTenantReport:
-    """Aggregate of one multi-tenant closed-loop run."""
-
-    tenants: dict[str, TenantLoadReport] = field(default_factory=dict)
-    wall_s: float = 0.0
-
-    @property
-    def requests(self) -> int:
-        return sum(r.requests for r in self.tenants.values())
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.requests / self.wall_s if self.wall_s > 0 else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "wall_s": round(self.wall_s, 4),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "tenants": {name: report.as_dict()
-                        for name, report in sorted(self.tenants.items())},
-        }
-
-
-async def drive_tenants(front: AsyncFrontEnd,
-                        specs: list[TenantLoadSpec]) -> MultiTenantReport:
-    """Drive every tenant's closed-loop workload concurrently.
-
-    Each tenant's workload is a pure function of its spec (seed, mix,
-    zipf shape) over the served index, dealt round-robin to its
-    ``concurrency`` coroutines — the whole run is reproducible, and all
-    bookkeeping happens on the event loop, unsynchronized by design.
-    """
-    report = MultiTenantReport()
-    workloads = {
-        spec.name: generate_workload(
-            front.server.index,
-            WorkloadConfig(seed=spec.seed, requests=spec.requests,
-                           clients=spec.concurrency, zipf_s=spec.zipf_s,
-                           mix=spec.mix))
-        for spec in specs}
-    for spec in specs:
-        report.tenants[spec.name] = TenantLoadReport(name=spec.name)
-
-    async def worker(spec: TenantLoadSpec, worker_id: int) -> None:
-        api_key = front.registry.api_key_for(spec.name)
-        tenant_report = report.tenants[spec.name]
-        for query in workloads[spec.name][worker_id::spec.concurrency]:
-            start = time.perf_counter()
-            response = await front.handle(api_key, query)
-            tenant_report.requests += 1
-            tenant_report.latencies.append(time.perf_counter() - start)
-            if response.status == OK:
-                tenant_report.ok += 1
-                if response.cached:
-                    tenant_report.cached += 1
-            elif response.status == OVERLOADED:
-                tenant_report.shed += 1
-            else:
-                tenant_report.errors += 1
-
-    start = time.perf_counter()
-    await asyncio.gather(*(worker(spec, n) for spec in specs
-                           for n in range(spec.concurrency)))
-    report.wall_s = time.perf_counter() - start
-    return report
-
-
-def run_tenant_load(front: AsyncFrontEnd,
-                    specs: list[TenantLoadSpec]) -> MultiTenantReport:
-    """Synchronous wrapper: run :func:`drive_tenants` on a fresh loop."""
-    return asyncio.run(drive_tenants(front, specs))
-
-
 __all__ = [
     "AsyncFrontEnd",
-    "MultiTenantReport",
     "Tenant",
-    "TenantLoadReport",
-    "TenantLoadSpec",
     "TenantQuota",
     "TenantRegistry",
     "derive_api_key",
-    "drive_tenants",
-    "run_tenant_load",
 ]

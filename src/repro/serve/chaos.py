@@ -18,7 +18,7 @@ seeded chaos harness:
   :func:`snapshot_corruption_trials`.
 - **ChaosInjector** — implements the server's ``fault_injector`` seam,
   firing the plan's events by *serve ordinal* (the n-th request a worker
-  picks up), so the schedule is independent of client thread timing.
+  picks up), so the schedule is independent of client timing.
 - **run_chaos** — the invariant checker. It computes a fault-free oracle
   answer for every workload request, drives the faulty server with
   deadline-bounded closed-loop clients, and asserts three invariants:
@@ -44,19 +44,24 @@ import hashlib
 import random
 import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro._util.artifacts import content_digest
-from repro.errors import ChaosError, QueryError, SnapshotError
-from repro.serve.index import CorpusIndex
-from repro.serve.loadgen import WorkloadConfig, generate_workload
-from repro.serve.query import Query, QueryEngine
+from repro.errors import ChaosError, SnapshotError
+from repro.serve.loadgen import (
+    LoadReport,
+    Outcome,
+    WorkloadConfig,
+    generate_workload,
+    load_tally,
+    oracle_answers,
+    run_load,
+)
+from repro.serve.query import Query
 from repro.serve.server import (
     ERROR,
     OK,
-    OVERLOADED,
     AnnotationServer,
     ServerConfig,
     WorkerCrash,
@@ -298,19 +303,17 @@ class ChaosInjector:
 
 @dataclass
 class ChaosReport:
-    """The invariant ledger one chaos run leaves behind."""
+    """The invariant ledger one chaos run leaves behind.
 
+    Request tallies are views of ``load``, the run's :class:`LoadReport`;
+    the fields here are only what the invariant checks found.
+    """
+
+    load: LoadReport
     plan_fingerprint: str = ""
     snapshot_fingerprint: str = ""
-    requests: int = 0
-    ok: int = 0
-    shed: int = 0
-    errors: int = 0
-    timeouts: int = 0
     #: Invariant 2 violations: an ``ok`` body differing from the oracle.
     oracle_mismatches: int = 0
-    #: Invariant 1 violations: a request that out-waited the deadline.
-    stall_violations: int = 0
     #: Invariant 3 violations: post-fault replay differing from oracle.
     recovery_failures: int = 0
     #: Internal errors beyond what injected worker deaths explain.
@@ -319,10 +322,24 @@ class ChaosReport:
     worker_respawns: int = 0
     cache_rejections: int = 0
     poison_outcomes: dict = field(default_factory=dict)
-    #: SHA-256 over the chaos phase's ordered (index, status, body)
-    #: stream; with an empty plan this equals the fault-free baseline.
-    response_digest: str = ""
-    recovered: bool = False
+
+    requests = load_tally("requests")
+    ok = load_tally("ok")
+    shed = load_tally("shed")
+    errors = load_tally("errors")
+    timeouts = load_tally("timeouts")
+    #: Invariant 1 violations: a request that out-waited the deadline.
+    stall_violations = load_tally("timeouts")
+
+    @property
+    def recovered(self) -> bool:
+        return self.recovery_failures == 0
+
+    @property
+    def response_digest(self) -> str:
+        """SHA-256 over the chaos phase's ordered (index, status, body)
+        stream; with an empty plan this equals the fault-free baseline."""
+        return _stream_digest(self.load.outcomes)
 
     def violations(self) -> int:
         return (self.oracle_mismatches + self.stall_violations
@@ -351,56 +368,62 @@ class ChaosReport:
         }
 
 
-def _oracle_answers(engine: QueryEngine,
-                    workload: list[Query]) -> list[tuple[str, str]]:
-    """The fault-free (status, body) every request must be diffed against."""
-    expected: list[tuple[str, str]] = []
-    for query in workload:
-        try:
-            expected.append((OK, engine.execute(query).to_json()))
-        except QueryError as exc:
-            expected.append((ERROR, str(exc)))
-    return expected
-
-
-def _stream_digest(results: list[tuple[str, str]]) -> str:
+def _stream_digest(outcomes: list[Outcome]) -> str:
     digest = hashlib.sha256()
-    for index, (status, body) in enumerate(results):
-        digest.update(f"{index}|{status}|{body}\n".encode("utf-8"))
+    for index, outcome in enumerate(outcomes):
+        digest.update(f"{index}|{outcome.status}|{outcome.body}\n"
+                      .encode("utf-8"))
     return digest.hexdigest()
 
 
 def baseline_digest(snapshot: CorpusSnapshot, workload: list[Query],
                     config: ServerConfig | None = None) -> str:
-    """Response-stream digest of a plain, fault-free PR-5 server run.
+    """Response-stream digest of a plain, fault-free PR-5 server run
+    (one client, requests in workload order).
 
     An empty-plan :func:`run_chaos` must reproduce this digest exactly —
     the acceptance check that the seams themselves change nothing.
     """
-    results: list[tuple[str, str]] = []
     with AnnotationServer(snapshot, config) as server:
-        for query in workload:
-            response = server.request(query)
-            results.append((response.status, response.body))
-    return _stream_digest(results)
+        return _stream_digest(run_load(server, workload, 1).outcomes)
+
+
+def _oracle_diff(outcomes: list[Outcome],
+                 expected: list[tuple[str, str]]) -> tuple[int, int]:
+    """Invariant 2 over a run: ``(oracle mismatches, internal errors)``.
+
+    An ``ok`` body must equal the oracle's; an error must be the oracle's
+    own validation error or an ``InternalError`` (explained later by the
+    injected worker deaths). Sheds and timeouts carry no body to check.
+    """
+    mismatches = internal_errors = 0
+    for outcome, answer in zip(outcomes, expected):
+        if outcome.status == OK:
+            if answer != (OK, outcome.body):
+                mismatches += 1
+        elif outcome.status == ERROR and answer != (ERROR, outcome.body):
+            if outcome.body.startswith(_INTERNAL_PREFIX):
+                internal_errors += 1
+            else:
+                mismatches += 1
+    return mismatches, internal_errors
 
 
 def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
               workload_config: WorkloadConfig | None = None,
               server_config: ServerConfig | None = None,
               clients: int = 4, deadline_s: float = 30.0,
-              recovery: bool = True,
-              hang_release_after: int = HANG_RELEASE_AFTER,
               shards: int = 1) -> ChaosReport:
     """Run one workload under a fault plan and check the three invariants.
 
     The oracle-diff protocol: every workload request's fault-free answer
     is computed up front from a plain :class:`QueryEngine` over the same
-    index; the chaotic run then has nothing to hide behind — each ``ok``
-    response is byte-compared against its oracle answer, each error must
-    be the oracle's own validation error or an explicitly counted
-    injected failure, and each future must resolve within ``deadline_s``.
-    After ``clear()`` ends the fault window, every poisoned cache key is
+    snapshot; the chaotic run then has nothing to hide behind — each
+    ``ok`` response is byte-compared against its oracle answer, each
+    error must be the oracle's own validation error or an explicitly
+    counted injected failure, and each request must resolve within
+    ``deadline_s`` (the load driver records a miss as a timeout). After
+    ``clear()`` ends the fault window, every poisoned cache key is
     re-read (each must be rejected, already overwritten by a verified
     recompute, or evicted — never served corrupt) and the whole workload
     is replayed sequentially, which must be oracle-identical again.
@@ -410,9 +433,9 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
     snapshot — so the diff simultaneously checks fault containment and
     scatter-gather byte-identity under fire.
     """
-    workload_config = workload_config or WorkloadConfig(
-        seed=plan.seed, requests=400, clients=clients)
-    injector = ChaosInjector(plan, hang_release_after=hang_release_after)
+    workload_config = workload_config or WorkloadConfig(seed=plan.seed,
+                                                        requests=400)
+    injector = ChaosInjector(plan)
     if shards > 1:
         server_config = replace(server_config or ServerConfig(),
                                 shards=shards)
@@ -420,31 +443,10 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
                               clock=injector.clock, fault_injector=injector)
     injector.bind(server)
     workload = generate_workload(server.index, workload_config)
-    oracle_index = server.index if server.sharded is None \
-        else CorpusIndex.build(snapshot)
-    expected = _oracle_answers(QueryEngine(oracle_index), workload)
-
-    report = ChaosReport(plan_fingerprint=plan.fingerprint,
-                         snapshot_fingerprint=snapshot.fingerprint)
-    results: list[tuple[str, str]] = [("timeout", "")] * len(workload)
-
-    def client(worker_id: int) -> None:
-        for index in range(worker_id, len(workload), clients):
-            future = server.submit(workload[index])
-            try:
-                response = future.result(timeout=deadline_s)
-            except FutureTimeoutError:
-                continue  # stays recorded as a timeout
-            results[index] = (response.status, response.body)
+    expected = oracle_answers(snapshot, workload)
 
     with server:
-        threads = [threading.Thread(target=client, args=(n,),
-                                    name=f"chaos-client-{n}")
-                   for n in range(clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        load = run_load(server, workload, clients, deadline_s=deadline_s)
         injector.clear()
 
         # Poisoned-entry sweep: every corrupted key must now be rejected,
@@ -457,52 +459,31 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
                 gone += 1  # rejected just now, or evicted/expired earlier
             else:
                 overwritten += 1  # digest-valid body: a fresh recompute
-        report.poison_outcomes = {
+        poison_outcomes = {
             "fired": len(injector.poisoned_keys),
             "rejected_on_sweep": (server.cache.corruption_rejections
                                   - rejected_before),
             "overwritten": overwritten,
             "gone": gone,
         }
-
-        if recovery:
-            for index, query in enumerate(workload):
-                response = server.request(query)
-                exp_status, exp_body = expected[index]
-                if response.status != exp_status \
-                        or response.body != exp_body:
-                    report.recovery_failures += 1
-            report.recovered = report.recovery_failures == 0
-
-    internal_errors = 0
-    for index, (status, body) in enumerate(results):
-        report.requests += 1
-        exp_status, exp_body = expected[index]
-        if status == "timeout":
-            report.timeouts += 1
-            report.stall_violations += 1
-        elif status == OVERLOADED:
-            report.shed += 1
-        elif status == OK:
-            report.ok += 1
-            if exp_status != OK or body != exp_body:
-                report.oracle_mismatches += 1
-        else:  # ERROR
-            report.errors += 1
-            if exp_status == ERROR and body == exp_body:
-                pass  # the oracle's own validation error
-            elif body.startswith(_INTERNAL_PREFIX):
-                internal_errors += 1
-            else:
-                report.oracle_mismatches += 1
+        replay = run_load(server, workload, 1)
+    recovery_failures = sum(
+        1 for outcome, answer in zip(replay.outcomes, expected)
+        if (outcome.status, outcome.body) != answer)
+    mismatches, internal_errors = _oracle_diff(load.outcomes, expected)
     deaths = injector.fired.get("worker-death", 0)
-    report.unexplained_errors = max(0, internal_errors - deaths)
-    report.faults_fired = dict(injector.fired)
-    report.worker_respawns = server.metrics.counters.count(
-        "serve.worker.respawns")
-    report.cache_rejections = server.cache.corruption_rejections
-    report.response_digest = _stream_digest(results)
-    return report
+    return ChaosReport(
+        load=load,
+        plan_fingerprint=plan.fingerprint,
+        snapshot_fingerprint=snapshot.fingerprint,
+        oracle_mismatches=mismatches,
+        recovery_failures=recovery_failures,
+        unexplained_errors=max(0, internal_errors - deaths),
+        faults_fired=dict(injector.fired),
+        worker_respawns=server.metrics.counters.count(
+            "serve.worker.respawns"),
+        cache_rejections=server.cache.corruption_rejections,
+        poison_outcomes=poison_outcomes)
 
 
 # -- snapshot-file fault classes ----------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded closed-loop load generator for the serving layer.
+"""Seeded workloads and the one closed-loop load driver for serving.
 
 Models the traffic shape the ROADMAP's north star implies: a large
 population of readers whose interest in domains is heavily skewed
@@ -7,23 +7,27 @@ whose requests mix cheap point lookups with heavier aggregates.
 
 The generator is a pure function of ``(snapshot, WorkloadConfig)``: the
 same seed always produces the same request sequence, and requests are
-dealt to client threads round-robin, so a load run is reproducible
-end-to-end. Clients are *closed-loop* — each waits for its response
-before sending the next request — which is what makes the measured
-latency distribution meaningful under admission control (an open-loop
-generator would just measure its own backlog).
+dealt to clients round-robin, so a load run is reproducible end-to-end.
+Clients are *closed-loop* — each waits for its response before sending
+the next request — which is what makes the measured latency distribution
+meaningful under admission control (an open-loop generator would just
+measure its own backlog). Every load run in the package uses the same
+clients: coroutines on one event loop (:func:`run_load`,
+:func:`run_tenants`), reported as one :class:`LoadReport`.
 """
 
 from __future__ import annotations
 
+import asyncio
+import functools
 import random
-import threading
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.compliance.oracle import random_predicate
 from repro.compliance.rules import get_pack
+from repro.errors import QueryError
 from repro.serve.index import COMPLIANCE_PACKS, FACETS, TABLES, CorpusIndex
 from repro.serve.query import (
     AspectMentions,
@@ -37,7 +41,14 @@ from repro.serve.query import (
     TopDescriptors,
     query_kind,
 )
-from repro.serve.server import AnnotationServer, percentile
+from repro.serve.server import (
+    ERROR,
+    OK,
+    OVERLOADED,
+    AnnotationServer,
+    percentile,
+)
+from repro.serve.shard import engine_for
 
 _ASPECTS = ("types", "purposes", "handling", "rights")
 
@@ -63,7 +74,6 @@ class WorkloadConfig:
 
     seed: int = 0
     requests: int = 1000
-    clients: int = 4
     #: Zipf exponent for domain popularity (1.0–1.3 matches web traffic).
     zipf_s: float = 1.1
     mix: tuple[tuple[str, float], ...] = DEFAULT_MIX
@@ -71,8 +81,6 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.requests < 1:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
 
 
 def zipf_weights(n: int, s: float) -> list[float]:
@@ -151,38 +159,67 @@ def generate_workload(index: CorpusIndex,
     return workload
 
 
+#: Outcome status of a request still unanswered at its client's deadline.
+TIMEOUT = "timeout"
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One request as its client saw it."""
+
+    kind: str
+    status: str  # OK | OVERLOADED | ERROR | TIMEOUT
+    body: str
+    cached: bool
+    latency_s: float  # send to answer (or to the deadline)
+
+
+def _tally(status: str) -> property:
+    return property(lambda report: sum(
+        1 for outcome in report.outcomes if outcome.status == status))
+
+
 @dataclass
 class LoadReport:
-    """What one closed-loop run measured."""
+    """One closed-loop run: an :class:`Outcome` per request, in workload
+    order. Every count and percentile is derived from ``outcomes``."""
 
-    requests: int = 0
-    ok: int = 0
-    shed: int = 0
-    errors: int = 0
-    #: Requests whose future missed the client deadline (``deadline_s``) —
-    #: a stall the serving layer promised never to produce.
-    timeouts: int = 0
-    cached: int = 0
+    outcomes: list[Outcome] = field(default_factory=list)
     wall_s: float = 0.0
-    by_kind: dict[str, int] = field(default_factory=dict)
-    #: client-observed latencies per endpoint, seconds.
-    latencies: dict[str, list[float]] = field(default_factory=dict)
+
+    ok = _tally(OK)
+    shed = _tally(OVERLOADED)
+    errors = _tally(ERROR)
+    #: Requests that missed the client deadline (``deadline_s``) — a
+    #: stall the serving layer promised never to produce.
+    timeouts = _tally(TIMEOUT)
+
+    @property
+    def requests(self) -> int:
+        return len(self.outcomes)
+
+    @property
+    def cached(self) -> int:
+        return sum(1 for outcome in self.outcomes
+                   if outcome.status == OK and outcome.cached)
+
+    @property
+    def by_kind(self) -> dict[str, int]:
+        return dict(Counter(outcome.kind for outcome in self.outcomes))
 
     @property
     def throughput_rps(self) -> float:
         return self.requests / self.wall_s if self.wall_s > 0 else 0.0
 
-    def all_latencies(self) -> list[float]:
-        return [s for bucket in self.latencies.values() for s in bucket]
-
     def percentiles_ms(self, kind: str | None = None) -> dict[str, float]:
-        samples = (self.all_latencies() if kind is None
-                   else self.latencies.get(kind, []))
+        samples = [outcome.latency_s for outcome in self.outcomes
+                   if kind is None or outcome.kind == kind]
         return {name: round(percentile(samples, pct) * 1000.0, 4)
                 for name, pct in (("p50", 50.0), ("p95", 95.0),
                                   ("p99", 99.0))}
 
     def as_dict(self) -> dict:
+        by_kind = dict(sorted(self.by_kind.items()))
         return {
             "requests": self.requests,
             "ok": self.ok,
@@ -192,76 +229,136 @@ class LoadReport:
             "cached": self.cached,
             "wall_s": round(self.wall_s, 4),
             "throughput_rps": round(self.throughput_rps, 2),
-            "by_kind": dict(sorted(self.by_kind.items())),
+            "by_kind": by_kind,
             "latency_ms": self.percentiles_ms(),
-            "latency_ms_by_kind": {
-                kind: self.percentiles_ms(kind)
-                for kind in sorted(self.latencies)
-            },
+            "latency_ms_by_kind": {kind: self.percentiles_ms(kind)
+                                   for kind in by_kind},
         }
 
 
-def run_load(server: AnnotationServer, workload: list[Query],
-             clients: int = 4,
-             deadline_s: float | None = None) -> LoadReport:
-    """Drive a started server with ``clients`` closed-loop threads.
+def load_tally(name: str) -> property:
+    """Read-only view of one :class:`LoadReport` tally, for a harness
+    report that keeps its run's report as ``load``."""
+    return property(lambda report: getattr(report.load, name))
 
-    The workload is dealt round-robin, so request ``i`` always belongs to
-    client ``i % clients`` regardless of timing.
 
-    ``deadline_s`` makes the run fault-plan-aware: each client waits at
-    most that long for a response and counts a miss in
-    ``LoadReport.timeouts`` instead of blocking forever — the measurement
-    the chaos harness's shed-never-stall invariant is checked against.
+def oracle_answers(snapshot, workload: list[Query]) -> list[tuple[str, str]]:
+    """The fault-free ``(status, body)`` of every request, positionally.
+
+    A plain engine over ``snapshot`` — no server, no cache — is the
+    ground truth; a query it rejects is answered ``(error, message)``,
+    exactly as the server answers it.
     """
-    report = LoadReport()
-    lock = threading.Lock()
+    engine = engine_for(snapshot)
+    answers: list[tuple[str, str]] = []
+    for query in workload:
+        try:
+            answers.append((OK, engine.execute(query).to_json()))
+        except QueryError as exc:
+            answers.append((ERROR, str(exc)))
+    return answers
 
-    def client(worker_id: int) -> None:
-        for query in workload[worker_id::clients]:
-            start = time.perf_counter()
-            try:
-                response = server.submit(query).result(timeout=deadline_s)
-            except FutureTimeoutError:
-                with lock:
-                    report.requests += 1
-                    report.timeouts += 1
-                    kind = query_kind(query)
-                    report.by_kind[kind] = report.by_kind.get(kind, 0) + 1
-                continue
-            elapsed = time.perf_counter() - start
-            with lock:
-                report.requests += 1
-                report.by_kind[response.kind] = \
-                    report.by_kind.get(response.kind, 0) + 1
-                if response.status == "ok":
-                    report.ok += 1
-                    if response.cached:
-                        report.cached += 1
-                elif response.status == "overloaded":
-                    report.shed += 1
-                else:
-                    report.errors += 1
-                report.latencies.setdefault(response.kind,
-                                            []).append(elapsed)
 
-    threads = [threading.Thread(target=client, args=(n,),
-                                name=f"loadgen-client-{n}")
-               for n in range(clients)]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    report.wall_s = time.perf_counter() - start
+async def _drive(streams, *, deadline_s: float | None = None,
+                 midrun=None) -> list[LoadReport]:
+    """Run ``(send, workload, clients)`` streams on the running loop.
+
+    ``send`` is an async ``query -> ServeResponse``. Request ``i`` of a
+    stream belongs to its client ``i % clients``. A request unanswered
+    after ``deadline_s`` is recorded as :data:`TIMEOUT` (its future is
+    cancelled) and the client moves on. ``midrun=(after, hook)`` awaits
+    ``hook(request)`` beside the clients once ``after`` requests have
+    resolved; ``request(query)`` sends one more query down the first
+    stream and returns its :class:`Outcome`. Exceptions propagate.
+    """
+    for _, _, clients in streams:
+        if clients < 1:
+            raise ValueError(f"clients must be >= 1, got {clients}")
+    hook = None
+    if midrun is not None:
+        after, hook = midrun
+        after = min(after, sum(len(workload) for _, workload, _ in streams))
+    reached = asyncio.Event()
+    resolved = 0
+
+    async def request(send, query: Query) -> Outcome:
+        sent = time.perf_counter()
+        pending = send(query)
+        if deadline_s is not None:
+            pending = asyncio.wait_for(pending, deadline_s)
+        try:
+            response = await pending
+        except asyncio.TimeoutError:
+            return Outcome(query_kind(query), TIMEOUT, "", False,
+                           time.perf_counter() - sent)
+        return Outcome(response.kind, response.status, response.body,
+                       response.cached, time.perf_counter() - sent)
+
+    async def client(send, workload, outcomes, first: int,
+                     clients: int) -> None:
+        nonlocal resolved
+        for index in range(first, len(workload), clients):
+            outcomes[index] = await request(send, workload[index])
+            resolved += 1
+            if hook is not None and resolved >= after:
+                reached.set()
+
+    async def stream(send, workload, clients: int) -> LoadReport:
+        outcomes: list = [None] * len(workload)
+        await asyncio.gather(*(client(send, workload, outcomes, n, clients)
+                               for n in range(clients)))
+        return LoadReport(outcomes, time.perf_counter() - started)
+
+    async def run_hook() -> None:
+        if after > 0:
+            await reached.wait()
+        await hook(functools.partial(request, streams[0][0]))
+
+    started = time.perf_counter()
+    jobs = [stream(*spec) for spec in streams]
+    if hook is not None:
+        jobs.append(run_hook())
+    return (await asyncio.gather(*jobs))[:len(streams)]
+
+
+def run_load(server: AnnotationServer, workload: list[Query],
+             clients: int = 4, *, deadline_s: float | None = None,
+             midrun=None) -> LoadReport:
+    """Drive a started server with ``clients`` closed-loop clients, each
+    request sent through ``asyncio.wrap_future(server.submit(query))``.
+
+    See :func:`_drive` for ``deadline_s`` and ``midrun``; a client's
+    exception (e.g. ``ServeError`` from a stopped server) is raised.
+    """
+    def send(query: Query):
+        return asyncio.wrap_future(server.submit(query))
+
+    (report,) = asyncio.run(_drive([(send, workload, clients)],
+                                   deadline_s=deadline_s, midrun=midrun))
     return report
+
+
+def run_tenants(front, tenants: dict[str, tuple[list[Query], int]]
+                ) -> dict[str, LoadReport]:
+    """One closed-loop stream per tenant through ``front.handle``, all on
+    one event loop; ``tenants`` maps a name to ``(workload, clients)``."""
+    streams = [(functools.partial(front.handle,
+                                  front.registry.api_key_for(name)),
+                workload, clients)
+               for name, (workload, clients) in tenants.items()]
+    return dict(zip(tenants, asyncio.run(_drive(streams))))
 
 
 __all__ = [
     "DEFAULT_MIX",
+    "TIMEOUT",
     "LoadReport",
+    "Outcome",
     "WorkloadConfig",
     "generate_workload",
+    "load_tally",
+    "oracle_answers",
     "run_load",
+    "run_tenants",
     "zipf_weights",
 ]

@@ -94,16 +94,14 @@ from dataclasses import dataclass
 from repro._util.profiling import StageTimings
 from repro.compliance.predicate import parse_predicate, predicate_fingerprint
 from repro.errors import QueryError, ServeError
-from repro.serve.index import CorpusIndex
 from repro.serve.query import (
     PredicateQuery,
     Query,
-    QueryEngine,
     query_fingerprint,
     query_kind,
 )
 from repro.serve.shard import ShardedEngine, ShardedSnapshot, \
-    partition_snapshot
+    engine_for, partition_snapshot
 from repro.serve.snapshot import CorpusSnapshot
 
 #: Response statuses.
@@ -384,27 +382,20 @@ def _build_generation(snapshot, config: ServerConfig,
     old engine's indexes for shards whose content fingerprint is
     unchanged — the incremental-refresh fast path.
     """
-    if isinstance(snapshot, ShardedSnapshot):
-        sharded: ShardedSnapshot | None = snapshot
-    elif config.shards > 1:
-        sharded = partition_snapshot(snapshot, config.shards)
-    else:
-        sharded = None
-    if sharded is not None:
-        reuse_engine = reuse.engine if reuse is not None \
-            and isinstance(reuse.engine, ShardedEngine) else None
-        engine = ShardedEngine(sharded, reuse_from=reuse_engine)
+    served = snapshot
+    if not isinstance(snapshot, ShardedSnapshot) and config.shards > 1:
+        served = partition_snapshot(snapshot, config.shards)
+    reuse_engine = reuse.engine if reuse is not None \
+        and isinstance(reuse.engine, ShardedEngine) else None
+    engine = engine_for(served, reuse_from=reuse_engine)
+    if isinstance(served, ShardedSnapshot):
         # The merged read view duck-types the single-index surface, so
         # loadgen/chaos consumers of ``server.index`` are oblivious to
         # sharding.
-        index = engine
-        fingerprint = sharded.fingerprint
-    else:
-        index = CorpusIndex.build(snapshot)
-        engine = QueryEngine(index)
-        fingerprint = snapshot.fingerprint
-    return _Generation(snapshot=snapshot, sharded=sharded, engine=engine,
-                       index=index, fingerprint=fingerprint)
+        return _Generation(snapshot=snapshot, sharded=served, engine=engine,
+                           index=engine, fingerprint=served.fingerprint)
+    return _Generation(snapshot=snapshot, sharded=None, engine=engine,
+                       index=engine.index, fingerprint=snapshot.fingerprint)
 
 
 class WorkerCrash(Exception):
@@ -566,6 +557,8 @@ class AnnotationServer:
             if item is _STOP:
                 continue
             query, kind, future, submitted_at = item
+            if not self._claim(future):
+                continue
             response = ServeResponse(
                 status=ERROR, kind=kind,
                 body="ServerStopped: request abandoned at shutdown")
@@ -618,6 +611,8 @@ class AnnotationServer:
                 if item is _STOP:
                     return
                 query, kind, future, submitted_at = item
+                if not self._claim(future):
+                    continue
                 try:
                     if self._injector is not None:
                         self._injector.before_serve(query, kind)
@@ -644,6 +639,16 @@ class AnnotationServer:
         finally:
             if crashed:
                 self._respawn(threading.current_thread())
+
+    def _claim(self, future: Future) -> bool:
+        """Mark a dequeued request running, so it can no longer be
+        cancelled and ``set_result`` cannot raise and kill the worker;
+        ``False`` (counted in ``serve.cancelled``) if its caller cancelled
+        it while it was queued."""
+        if future.set_running_or_notify_cancel():
+            return True
+        self.metrics.increment("serve.cancelled")
+        return False
 
     def _respawn(self, dead_thread: threading.Thread) -> None:
         """Replace a worker that died mid-request (self-healing pool)."""

@@ -486,11 +486,24 @@ class ShardedEngine:
                                         evidence=query.evidence)
 
 
+def engine_for(snapshot: "CorpusSnapshot | ShardedSnapshot",
+               reuse_from: ShardedEngine | None = None):
+    """Query engine for either snapshot shape; answers are byte-identical.
+
+    ``reuse_from`` is passed to :class:`ShardedEngine` for a sharded
+    snapshot (see its incremental-refresh seam).
+    """
+    if isinstance(snapshot, ShardedSnapshot):
+        return ShardedEngine(snapshot, reuse_from=reuse_from)
+    return QueryEngine(CorpusIndex.build(snapshot))
+
+
 __all__ = [
     "MANIFEST_NAME",
     "SHARDED_SCHEMA_VERSION",
     "ShardedEngine",
     "ShardedSnapshot",
+    "engine_for",
     "load_sharded_snapshot",
     "merged_snapshot",
     "partition_snapshot",

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.ingest import oracle_bodies, run_swap_load
+from repro.errors import ServeError
+from repro.ingest import run_swap_load
 from repro.pipeline.records import DomainAnnotations, TypeAnnotation
 from repro.serve import (
     AnnotationServer,
@@ -22,9 +24,9 @@ from repro.serve import (
     TopDescriptors,
     build_snapshot,
     derive_api_key,
+    oracle_answers,
     partition_snapshot,
 )
-from repro.serve.query import query_fingerprint
 
 
 def _record(domain: str, verbatim: str = "verbatim") -> DomainAnnotations:
@@ -78,13 +80,13 @@ class TestSwapUnderLoad:
     def test_post_swap_requests_serve_new_bytes(self):
         old, new = _snapshot(stamp="v1"), _snapshot(stamp="v2")
         workload = _workload(repeats=1)
-        oracle = oracle_bodies(new, workload)
+        oracle = oracle_answers(new, workload)
         with AnnotationServer(old) as server:
             server.swap_snapshot(new)
-            for query in workload:
+            for query, (_, body) in zip(workload, oracle):
                 response = server.request(query)
                 assert response.ok
-                assert response.body == oracle[query_fingerprint(query)]
+                assert response.body == body
 
     def test_hot_cache_cannot_leak_across_generations(self):
         old, new = _snapshot(stamp="v1"), _snapshot(stamp="v2")
@@ -97,8 +99,7 @@ class TestSwapUnderLoad:
             after = server.request(query)
         assert not after.cached  # old entry is behind the old gen prefix
         assert after.body != first.body
-        assert after.body == oracle_bodies(new, [query])[
-            query_fingerprint(query)]
+        assert after.body == oracle_answers(new, [query])[0][1]
 
     def test_swap_counters_advance(self):
         old, new = _snapshot(stamp="v1"), _snapshot(stamp="v2")
@@ -108,6 +109,25 @@ class TestSwapUnderLoad:
         assert swap.changed
         assert counts["serve.swap.count"] == 1
         assert counts["serve.swap.shards_rebuilt"] == 1
+
+    def test_client_failure_surfaces(self):
+        # The server was never started: the harness must raise, not hang
+        # (the join timeout turns a hang into a failure).
+        server = AnnotationServer(_snapshot(stamp="v1"))
+        raised = []
+
+        def drive():
+            try:
+                run_swap_load(server, _workload(), _snapshot(stamp="v2"),
+                              clients=4)
+            except ServeError as exc:
+                raised.append(exc)
+
+        driver = threading.Thread(target=drive, daemon=True)
+        driver.start()
+        driver.join(timeout=10)
+        assert not driver.is_alive()
+        assert len(raised) == 1
 
     def test_noop_swap_reports_unchanged(self):
         snapshot = _snapshot()
@@ -146,7 +166,7 @@ class TestAsyncFrontEndSwap:
         registry = TenantRegistry()
         registry.register("acme", TenantQuota(max_inflight=4))
         query = DomainLookup(domain="site2.com")
-        oracle = oracle_bodies(new, [query])[query_fingerprint(query)]
+        oracle = oracle_answers(new, [query])[0][1]
 
         async def scenario(server):
             front = AsyncFrontEnd(server, registry)

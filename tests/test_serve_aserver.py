@@ -21,12 +21,13 @@ from repro.serve import (
     ResultCache,
     ServerConfig,
     TableAggregate,
-    TenantLoadSpec,
     TenantQuota,
     TenantRegistry,
+    WorkloadConfig,
     build_snapshot,
     derive_api_key,
-    run_tenant_load,
+    generate_workload,
+    run_tenants,
 )
 
 
@@ -42,6 +43,11 @@ def _snapshot(n=8):
         for i in range(n)
     ]
     return build_snapshot(records)
+
+
+def _workload(server, *, seed, requests):
+    return generate_workload(server.index,
+                             WorkloadConfig(seed=seed, requests=requests))
 
 
 class TestTenantRegistry:
@@ -153,6 +159,37 @@ class TestHandle:
         counters = server.metrics.as_dict()["counters"]
         assert counters["serve.tenant.acme.shed"] == 1
 
+    def test_timed_out_requests_leave_the_pool_intact(self):
+        """A client deadline cancels the pending future; the workers that
+        were serving those requests must survive to serve the next one."""
+        gate = threading.Event()
+        server = AnnotationServer(_snapshot(),
+                                  ServerConfig(workers=2, cache_entries=0))
+        original = server.engine.execute
+
+        def gated(query):
+            assert gate.wait(timeout=10)
+            return original(query)
+
+        server.engine.execute = gated
+        front = self._front(server)
+        key = derive_api_key("acme")
+
+        async def scenario():
+            for i in range(2):  # one stuck request per worker
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(front.handle(
+                        key, DomainLookup(domain=f"site{i}.com")), 0.05)
+            gate.set()
+            return await asyncio.wait_for(front.handle(
+                key, DomainLookup(domain="site2.com")), 5)
+
+        with server:
+            response = asyncio.run(scenario())
+            alive = sum(thread.is_alive() for thread in server._threads)
+        assert response.ok
+        assert alive == server.config.workers
+
 
 class TestMultiTenantFairness:
     def test_flooder_is_shed_while_steady_tenant_stays_clean(self):
@@ -164,14 +201,12 @@ class TestMultiTenantFairness:
         with AnnotationServer(snapshot, config) as server:
             front = AsyncFrontEnd(server, registry)
             assert front.queue_headroom() >= 0
-            report = run_tenant_load(front, [
-                TenantLoadSpec(name="steady", requests=150,
-                               concurrency=4, seed=1),
-                TenantLoadSpec(name="flood", requests=300,
-                               concurrency=16, seed=2),
-            ])
-        steady = report.tenants["steady"]
-        flood = report.tenants["flood"]
+            report = run_tenants(front, {
+                "steady": (_workload(server, seed=1, requests=150), 4),
+                "flood": (_workload(server, seed=2, requests=300), 16),
+            })
+        steady = report["steady"]
+        flood = report["flood"]
         assert flood.shed > 0
         assert steady.shed == 0
         assert steady.errors == 0
@@ -181,29 +216,34 @@ class TestMultiTenantFairness:
 
     def test_report_shape_and_determinism(self):
         snapshot = _snapshot()
-        spec = TenantLoadSpec(name="t", requests=60, concurrency=2, seed=3)
 
         def run_once():
             registry = TenantRegistry()
             registry.register("t", TenantQuota(max_inflight=4))
             with AnnotationServer(snapshot) as server:
                 front = AsyncFrontEnd(server, registry)
-                return run_tenant_load(front, [spec])
+                return run_tenants(front, {
+                    "t": (_workload(server, seed=3, requests=60), 2)})
 
         a, b = run_once(), run_once()
-        assert a.tenants["t"].ok == b.tenants["t"].ok == 60
-        payload = a.as_dict()
-        assert set(payload) == {"requests", "wall_s", "throughput_rps",
-                                "tenants"}
-        assert set(payload["tenants"]["t"]) == {
-            "requests", "ok", "shed", "errors", "error_rate", "cached",
-            "latency_ms"}
+        assert a["t"].ok == b["t"].ok == 60
+        assert [(o.kind, o.status, o.body) for o in a["t"].outcomes] \
+            == [(o.kind, o.status, o.body) for o in b["t"].outcomes]
+        assert set(a["t"].as_dict()) == {
+            "requests", "ok", "shed", "errors", "timeouts", "cached",
+            "wall_s", "throughput_rps", "by_kind", "latency_ms",
+            "latency_ms_by_kind"}
 
-    def test_bad_spec_rejected(self):
-        with pytest.raises(TenancyError):
-            TenantLoadSpec(name="t", requests=0)
-        with pytest.raises(TenancyError):
-            TenantLoadSpec(name="t", concurrency=0)
+    def test_bad_tenant_stream_rejected(self):
+        with pytest.raises(ValueError):
+            WorkloadConfig(requests=0)
+        registry = TenantRegistry()
+        registry.register("t")
+        with AnnotationServer(_snapshot()) as server:
+            front = AsyncFrontEnd(server, registry)
+            with pytest.raises(ValueError, match="clients"):
+                run_tenants(front, {
+                    "t": (_workload(server, seed=0, requests=5), 0)})
 
 
 class TestPredicateCache:

@@ -30,6 +30,7 @@ from repro.serve import (
     corrupt_snapshot_file,
     generate_workload,
     load_snapshot,
+    oracle_answers,
     run_chaos,
     snapshot_corruption_trials,
     write_snapshot,
@@ -311,9 +312,7 @@ class TestRunChaos:
             return Tampered()
 
         workload = generate_workload(server.index, workload_config)
-        from repro.serve.chaos import _oracle_answers
-        from repro.serve.query import QueryEngine
-        expected = _oracle_answers(QueryEngine(server.index), workload)
+        expected = oracle_answers(snapshot, workload)
         server.engine.execute = lying
         with server:
             mismatches = 0

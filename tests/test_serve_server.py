@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -10,8 +11,11 @@ from repro.errors import ServeError
 from repro.pipeline.records import DomainAnnotations, TypeAnnotation
 from repro.serve import (
     AnnotationServer,
+    CorpusIndex,
     DomainLookup,
     LoadReport,
+    Outcome,
+    QueryEngine,
     ResultCache,
     ServeMetrics,
     ServerConfig,
@@ -321,11 +325,19 @@ class TestLoadGenerator:
         assert report.ok == 40
 
     def test_report_percentiles_from_known_samples(self):
-        report = LoadReport(requests=4, ok=4,
-                            latencies={"domain": [0.001, 0.002],
-                                       "table": [0.003, 0.004]})
+        report = LoadReport(outcomes=[
+            Outcome(kind, OK, "", False, latency)
+            for kind, latency in (("domain", 0.001), ("domain", 0.002),
+                                  ("table", 0.003), ("table", 0.004))])
         assert report.percentiles_ms()["p50"] == 2.0
         assert report.percentiles_ms("table")["p99"] == 4.0
+
+    def test_client_failure_surfaces(self):
+        server = AnnotationServer(_snapshot())  # never started
+        workload = generate_workload(
+            server.index, WorkloadConfig(seed=0, requests=12))
+        with pytest.raises(ServeError, match="not started"):
+            run_load(server, workload, clients=4)
 
 
 class TestLifecycleRegressions:
@@ -382,6 +394,70 @@ class TestLifecycleRegressions:
         assert response.status == ERROR
         assert response.body.startswith("ServerStopped:")
         assert server._queue.empty()  # sentinel was swallowed too
+
+    def test_cancelled_requests_leave_the_pool_intact(self):
+        # A caller may cancel a future while its request is served or
+        # queued; the lone worker must survive both and serve the next.
+        server = AnnotationServer(
+            _snapshot(), ServerConfig(workers=1, cache_entries=0))
+        entered, release = threading.Event(), threading.Event()
+        original = server.engine.execute
+
+        def gated(query):
+            entered.set()
+            assert release.wait(timeout=10)
+            return original(query)
+
+        server.engine.execute = gated
+        with server:
+            serving = server.submit(TableAggregate(table="summary"))
+            assert entered.wait(timeout=10)
+            queued = server.submit(DomainLookup(domain="site0.com"))
+            serving.cancel()  # already running: too late to cancel
+            assert queued.cancel()  # still queued: skipped, never served
+            release.set()
+            assert serving.result(timeout=5).ok
+            after = server.submit(DomainLookup(domain="site1.com"))
+            assert after.result(timeout=5).ok
+            alive = sum(thread.is_alive() for thread in server._threads)
+        assert alive == server.config.workers
+        assert server.metrics.counters.count("serve.cancelled") == 1
+
+
+class TestConcurrentSubmitters:
+    def test_threads_submitting_at_once_all_get_oracle_answers(self):
+        # The server is documented thread-safe; 8 OS threads submit at
+        # once with a tiny switch interval to shake out lost updates.
+        snapshot = _snapshot()
+        server = AnnotationServer(snapshot, ServerConfig(workers=2))
+        workload = generate_workload(
+            server.index, WorkloadConfig(seed=3, requests=400))
+        futures = [None] * len(workload)
+
+        def submitter(first):
+            for index in range(first, len(workload), 8):
+                futures[index] = server.submit(workload[index])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=submitter, args=(n,))
+                           for n in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                responses = [future.result(timeout=30)
+                             for future in futures]
+        finally:
+            sys.setswitchinterval(previous)
+        assert server.metrics.request_count() == 400
+        engine = QueryEngine(CorpusIndex.build(snapshot))
+        for query, response in zip(workload, responses):
+            if response.ok:
+                assert response.body == engine.execute(query).to_json()
 
 
 class TestMetricsDictShape:
