@@ -6,8 +6,9 @@ Measures the pipeline's annotation stage twice on the same corpus:
 * **serial** — the pre-index implementation, reconstructed here: the
   lazy-sorted first-token lexicon scanner, the always-decompose
   ``normalize_for_match``, an unmemoized hallucination verifier, and
-  per-task recomputation of every per-line quantity
-  (``use_docindex=False``).
+  per-task recomputation of every per-line quantity (no document index:
+  ``repro.pipeline.runner.DocumentIndex`` is swapped for a stub whose
+  ``for_document`` returns ``None``).
 * **indexed** — the shipped hot path: shared per-document analysis index,
   compiled lexicon trie, ASCII-fast normalization, memoized verifier.
 
@@ -39,6 +40,7 @@ import repro._util.textproc as textproc
 import repro.chatbot.aspects as aspects_mod
 import repro.chatbot.engine as engine_mod
 import repro.chatbot.practices as practices_mod
+import repro.pipeline.runner as runner_mod
 import repro.pipeline.verify as verify_mod
 from repro._util import write_json_atomic
 from repro.corpus import CorpusConfig, build_corpus
@@ -166,6 +168,14 @@ def _legacy_build_matcher(taxonomy) -> LegacyPhraseMatcher:
     return matcher
 
 
+class _NoDocumentIndex:
+    """Stands in for ``DocumentIndex`` in the runner: the seed built none."""
+
+    @staticmethod
+    def for_document(document):
+        return None
+
+
 class _legacy_hot_path:
     """Context manager swapping in the reconstructed seed implementation."""
 
@@ -192,6 +202,7 @@ class _legacy_hot_path:
             aspects_mod._CUE_SCREENS,
             practices_mod._GROUP_SCREENS,
             practices_mod._has_period_hint,
+            runner_mod.DocumentIndex,
         )
         engine_mod._matcher_for = legacy_matcher_for
         textproc.normalize_for_match = _legacy_normalize_for_match
@@ -203,6 +214,7 @@ class _legacy_hot_path:
         aspects_mod._CUE_SCREENS = {}
         practices_mod._GROUP_SCREENS = {}
         practices_mod._has_period_hint = lambda sentence: True
+        runner_mod.DocumentIndex = _NoDocumentIndex
         return self
 
     def __exit__(self, *exc):
@@ -214,7 +226,8 @@ class _legacy_hot_path:
          verify_mod.build_match_streams,
          aspects_mod._CUE_SCREENS,
          practices_mod._GROUP_SCREENS,
-         practices_mod._has_period_hint) = self._saved
+         practices_mod._has_period_hint,
+         runner_mod.DocumentIndex) = self._saved
         return False
 
 
@@ -247,14 +260,12 @@ def main(argv=None) -> int:
 
     print("serial (pre-index hot path) ...")
     with _legacy_hot_path():
-        baseline = run_pipeline(corpus, PipelineOptions(use_docindex=False),
-                                domains=domains)
+        baseline = run_pipeline(corpus, PipelineOptions(), domains=domains)
     serial_s = baseline.stage_timings.total("annotate")
 
     print("indexed (document index + compiled trie) ...")
     t0 = time.perf_counter()
-    indexed = run_pipeline(corpus, PipelineOptions(use_docindex=True),
-                           domains=domains)
+    indexed = run_pipeline(corpus, PipelineOptions(), domains=domains)
     serial_wall_s = time.perf_counter() - t0
     indexed_s = indexed.stage_timings.total("annotate")
 
@@ -266,8 +277,8 @@ def main(argv=None) -> int:
 
     print("end-to-end with --workers 4 ...")
     t0 = time.perf_counter()
-    parallel = run_pipeline(corpus, PipelineOptions(use_docindex=True),
-                            domains=domains, workers=4)
+    parallel = run_pipeline(corpus, PipelineOptions(), domains=domains,
+                            workers=4)
     workers4_wall_s = time.perf_counter() - t0
     if [r.to_json() for r in parallel.records] != new_records:
         raise SystemExit("FAIL: parallel records differ")

@@ -20,12 +20,13 @@ Change detection is two-tiered, cheapest test first:
    (``ingest.annotate_reused``), sound because an annotation record is a
    pure function of ``(domain, sector, document, options)`` with the
    model re-seeded per domain. Only genuinely changed content reaches
-   ``annotate_document`` (``ingest.annotated``).
+   the annotate step (``ingest.annotated``).
 
-Both delta paths run through the PR-3 two-layer cache with the same
-keys, counters, and replay semantics as ``process_domain_cached`` — so a
-full pipeline re-run over the mutated corpus produces byte-identical
-records, which is the differential proof the refresh harness asserts.
+Both delta paths call the two-layer cache's own record, crawl and
+annotate steps (:mod:`repro.pipeline.cache`), the ones
+``process_domain_cached`` runs — so a full pipeline re-run over the
+mutated corpus produces byte-identical records, which is the
+differential proof the refresh harness asserts.
 
 Rounds are replayable: the due set and its order are pure functions of
 ``(seed, round number, policy, watched set)``.
@@ -47,24 +48,17 @@ from repro.errors import IngestError
 from repro.ingest.refresh import RecordPatch
 from repro.lang import LanguageDetector
 from repro.pipeline.cache import (
-    HIT_CRAWL,
-    HIT_RECORD,
-    MISS_CRAWL,
-    MISS_RECORD,
     CachedCrawl,
     CachedRecord,
     CacheKeys,
+    annotate_crawl,
+    load_or_crawl,
+    replay_record,
 )
 from repro.pipeline.records import DomainAnnotations
-from repro.pipeline.runner import (
-    PipelineOptions,
-    annotate_document,
-    model_for_domain,
-    preprocess_domain,
-)
+from repro.pipeline.runner import PipelineOptions
 from repro.crawler.crawler import PrivacyCrawler
 from repro.web.browser import Browser
-from repro.web.net import FetchStats
 
 
 def crawl_content_fingerprint(sector: str, crawl_entry: CachedCrawl) -> str:
@@ -280,76 +274,44 @@ class IngestScheduler:
                 previous: DomainState | None) -> DomainAnnotations:
         """Re-ingest one changed (or new) domain through the cache layers.
 
-        Mirrors ``process_domain_cached`` — same keys, same counters,
-        same replay semantics — plus the content-fingerprint shortcut:
-        when the freshly crawled content fingerprints equal to what the
-        ledger last annotated, the prior record is stored under the new
-        record key without calling ``annotate_document`` at all. (The
-        reused entry carries the fresh crawl trace, which lacks the
-        segmentation timing fields a fresh annotate would add; traces
-        never enter snapshot bytes.)
+        Runs the cache module's own steps — the records layer
+        (:func:`~repro.pipeline.cache.replay_record`), the crawl layer
+        (:func:`~repro.pipeline.cache.load_or_crawl`) and the annotate
+        step (:func:`~repro.pipeline.cache.annotate_crawl`), with the same
+        keys, counters and replay semantics as ``process_domain_cached`` —
+        plus the content-fingerprint shortcut: when the freshly crawled
+        content fingerprints equal to what the ledger last annotated, the
+        prior record is stored under the new record key without
+        annotating at all. (The reused entry carries the fresh crawl
+        trace, which lacks the segmentation fields a fresh annotate would
+        add; traces never enter snapshot bytes.)
         """
         corpus, cache, keys = self.corpus, self.cache, self.keys
         sector = corpus.sector_of.get(domain, "??")
         record_key = keys.record_key(domain)
-        entry = cache.load_record(record_key)
+        entry = replay_record(corpus, cache, record_key, self.counters)
         if entry is not None:
-            self.counters.increment(HIT_RECORD)
-            corpus.internet.replay_stats(entry.fetch)
-            crawl_entry = cache.load_crawl(keys.crawl_key(domain))
-            content_fp = crawl_content_fingerprint(sector, crawl_entry) \
-                if crawl_entry is not None else None
-            self.ledger[domain] = DomainState(input_fp, content_fp,
-                                              entry.record)
-            return entry.record
-
-        self.counters.increment(MISS_RECORD)
-        crawl_key = keys.crawl_key(domain)
-        crawl_entry = cache.load_crawl(crawl_key)
-        if crawl_entry is not None:
-            self.counters.increment(HIT_CRAWL)
-            corpus.internet.replay_stats(crawl_entry.fetch)
+            crawl = cache.load_crawl(keys.crawl_key(domain))
+            content_fp = crawl_content_fingerprint(sector, crawl) \
+                if crawl is not None else None
         else:
-            self.counters.increment(MISS_CRAWL)
-            with corpus.internet.record_stats() as sink:
-                with self.counters.stage("ingest.crawl"):
-                    crawl = self._crawler.crawl_domain(domain)
-                trace, document, early = preprocess_domain(
-                    corpus, crawl, timings=self.counters,
-                    detector=self._detector)
-            fetch = FetchStats().merge(sink)
-            outcome = early.status if early is not None else "ok"
-            # Checkpoint the crawl layer before annotating, exactly like
-            # process_domain_cached, so segmentation fields never leak
-            # into the crawl-stage entry.
-            crawl_entry = CachedCrawl(outcome=outcome, trace=trace,
-                                      fetch=fetch, document=document)
-            cache.store_crawl(crawl_key, crawl_entry)
-
-        content_fp = crawl_content_fingerprint(sector, crawl_entry)
-        prompt_tokens = completion_tokens = 0
-        if previous is not None and previous.content_fp is not None \
-                and previous.content_fp == content_fp:
-            record = previous.record
-            self.counters.increment("ingest.annotate_reused")
-        elif crawl_entry.outcome != "ok":
-            record = DomainAnnotations(domain=domain, sector=sector,
-                                       status=crawl_entry.outcome)
-        else:
-            model = model_for_domain(self.options, domain)
-            record = annotate_document(domain, sector, crawl_entry.document,
-                                       model, self.options,
-                                       trace=crawl_entry.trace,
-                                       timings=self.counters)
-            prompt_tokens = model.usage.prompt_tokens
-            completion_tokens = model.usage.completion_tokens
-            self.counters.increment("ingest.annotated")
-        cache.store_record(record_key, CachedRecord(
-            record=record, trace=crawl_entry.trace,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens, fetch=crawl_entry.fetch))
-        self.ledger[domain] = DomainState(input_fp, content_fp, record)
-        return record
+            crawl = load_or_crawl(corpus, self._crawler, domain,
+                                  self.counters, cache, keys,
+                                  detector=self._detector)
+            content_fp = crawl_content_fingerprint(sector, crawl)
+            if previous is not None and previous.content_fp == content_fp:
+                entry = CachedRecord(record=previous.record,
+                                     trace=crawl.trace, prompt_tokens=0,
+                                     completion_tokens=0, fetch=crawl.fetch)
+                self.counters.increment("ingest.annotate_reused")
+            else:
+                entry = annotate_crawl(corpus, domain, crawl, self.options,
+                                       self.counters)
+                if crawl.outcome == "ok":
+                    self.counters.increment("ingest.annotated")
+            cache.store_record(record_key, entry)
+        self.ledger[domain] = DomainState(input_fp, content_fp, entry.record)
+        return entry.record
 
     # -- compaction ------------------------------------------------------
 

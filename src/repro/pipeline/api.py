@@ -24,18 +24,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.chatbot.models import ChatModel, make_model
 from repro.htmlkit import TextDocument, TextLine, html_to_document
-from repro.pipeline.annotate import (
-    annotate_handling,
-    annotate_purposes,
-    annotate_rights,
-    annotate_types,
-)
 from repro.pipeline.docindex import DocumentIndex
 from repro.pipeline.records import DomainAnnotations
-from repro.pipeline.runner import PipelineOptions, model_for_domain
+from repro.pipeline.runner import (
+    PipelineOptions,
+    _annotate_domain,
+    model_for_domain,
+)
 from repro.pipeline.segmentation import segment_policy
-from repro.pipeline.verify import HallucinationVerifier
-from repro.taxonomy import Aspect
 
 
 def annotate_policy_html(html: str, model: ChatModel | None = None,
@@ -100,42 +96,15 @@ def _annotate_many(policies: dict[str, str], annotate_one,
 def _annotate_document(document: TextDocument, model: ChatModel | None,
                        options: PipelineOptions | None,
                        domain: str) -> DomainAnnotations:
+    """Segment one document and run the pipeline's annotate back half.
+
+    Unlike a crawled domain, the document is annotated even when
+    segmentation finds no policy sections, and its sector is ``"--"``.
+    """
     options = options or PipelineOptions()
     if model is None:
         model = make_model(options.model_name, seed=options.model_seed)
-    index = (DocumentIndex.for_document(document)
-             if options.use_docindex else None)
+    index = DocumentIndex.for_document(document)
     segmented = segment_policy(domain, document, model, index=index)
-    verifier = HallucinationVerifier(document.text, index=index)
-    annotate_options = options.annotate_options()
-    types = annotate_types(model, segmented, verifier, annotate_options,
-                           index=index)
-    purposes = annotate_purposes(model, segmented, verifier, annotate_options,
-                                 index=index)
-    handling = annotate_handling(model, segmented, verifier, annotate_options,
-                                 index=index)
-    rights = annotate_rights(model, segmented, verifier, annotate_options,
-                             index=index)
-    record = DomainAnnotations(
-        domain=domain,
-        sector="--",
-        status="annotated",
-        types=types.annotations,
-        purposes=purposes.annotations,
-        handling=handling.annotations,
-        rights=rights.annotations,
-        fallback_aspects=[
-            aspect.value for aspect, outcome in (
-                (Aspect.TYPES, types), (Aspect.PURPOSES, purposes),
-                (Aspect.HANDLING, handling), (Aspect.RIGHTS, rights),
-            ) if outcome.used_fallback
-        ],
-        extracted_aspects=[a.value for a in segmented.extracted_aspects()],
-        policy_words=segmented.substantive_word_count(),
-        hallucinations_filtered=(types.hallucinations + purposes.hallucinations
-                                 + handling.hallucinations
-                                 + rights.hallucinations),
-    )
-    if not record.has_any_annotation():
-        record.status = "no-annotations"
-    return record
+    return _annotate_domain(domain, "--", segmented, model, options,
+                            index=index)

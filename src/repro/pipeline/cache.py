@@ -422,6 +422,87 @@ class PipelineCache:
 # -- the cached per-domain pipeline step --------------------------------------
 
 
+def replay_record(corpus, cache: PipelineCache, key: str,
+                  timings) -> CachedRecord | None:
+    """The records layer: the stored entry for ``key``, or ``None``.
+
+    Counts a hit or a miss into ``timings``; on a hit the entry's fetch
+    counters are replayed into the live sink, so aggregate
+    ``fetch_stats`` match a fresh run.
+    """
+    entry = cache.load_record(key)
+    if entry is None:
+        timings.increment(MISS_RECORD)
+        return None
+    timings.increment(HIT_RECORD)
+    corpus.internet.replay_stats(entry.fetch)
+    return entry
+
+
+def load_or_crawl(corpus, crawler, domain: str, timings,
+                  cache: PipelineCache, keys: CacheKeys,
+                  detector=None) -> CachedCrawl:
+    """The crawl layer: replay the stored entry, or crawl, preprocess and
+    checkpoint a new one.
+
+    Fetch counters are replayed into the live sink (hit) or captured into
+    the entry (miss). The entry is stored before the caller annotates: its
+    trace is serialized now, so the segmentation fields
+    :func:`annotate_crawl` adds never leak into the crawl-stage entry.
+    ``detector`` (optional) shares memoized language-detection state with
+    the calling run or shard.
+    """
+    internet = corpus.internet
+    crawl_key = keys.crawl_key(domain)
+    entry = cache.load_crawl(crawl_key)
+    if entry is not None:
+        timings.increment(HIT_CRAWL)
+        internet.replay_stats(entry.fetch)
+        return entry
+    timings.increment(MISS_CRAWL)
+    with internet.record_stats() as sink:
+        with timings.stage("crawl"):
+            crawl = crawler.crawl_domain(domain)
+        trace, document, early = preprocess_domain(corpus, crawl,
+                                                   timings=timings,
+                                                   detector=detector)
+    # The sink has already folded into the enclosing accounting context;
+    # snapshot it for the entry.
+    entry = CachedCrawl(outcome=early.status if early is not None else "ok",
+                        trace=trace, fetch=FetchStats().merge(sink),
+                        document=document)
+    cache.store_crawl(crawl_key, entry)
+    return entry
+
+
+def annotate_crawl(corpus, domain: str, crawl: CachedCrawl,
+                   options: PipelineOptions, timings) -> CachedRecord:
+    """The annotate step: one crawl-layer entry to its (unstored)
+    records-layer entry.
+
+    A failed crawl or extraction keeps its status and spends no tokens;
+    otherwise a freshly seeded per-domain model annotates the document,
+    exactly as a fresh run would after crawling, and fills the
+    segmentation fields of ``crawl.trace``.
+    """
+    sector = corpus.sector_of.get(domain, "??")
+    prompt_tokens = completion_tokens = 0
+    if crawl.outcome != "ok":
+        record = DomainAnnotations(domain=domain, sector=sector,
+                                   status=crawl.outcome)
+    else:
+        model = model_for_domain(options, domain)
+        record = annotate_document(domain, sector, crawl.document, model,
+                                   options, trace=crawl.trace,
+                                   timings=timings)
+        prompt_tokens = model.usage.prompt_tokens
+        completion_tokens = model.usage.completion_tokens
+    return CachedRecord(record=record, trace=crawl.trace,
+                        prompt_tokens=prompt_tokens,
+                        completion_tokens=completion_tokens,
+                        fetch=crawl.fetch)
+
+
 def process_domain_cached(corpus, crawler, domain: str,
                           options: PipelineOptions, timings, cache, keys,
                           detector=None,
@@ -429,73 +510,20 @@ def process_domain_cached(corpus, crawler, domain: str,
     """Run (or replay) one domain through the pipeline with caching.
 
     Returns ``(record, trace, prompt_tokens, completion_tokens)``, exactly
-    what the uncached per-domain loop produces, and checkpoints both cache
-    layers as soon as their stage completes. Fetch counters are either
-    captured into the entry (fresh compute) or replayed into the live sink
-    (hit), so aggregate ``fetch_stats`` match a fresh run either way.
-    ``detector`` (optional) shares memoized language-detection state with
-    the calling run or shard.
+    what the uncached per-domain step produces: the records layer
+    (:func:`replay_record`), else the crawl layer (:func:`load_or_crawl`)
+    and the annotate step (:func:`annotate_crawl`), each layer
+    checkpointed as soon as its stage completes.
     """
-    internet = corpus.internet
     record_key = keys.record_key(domain)
-    entry = cache.load_record(record_key)
-    if entry is not None:
-        timings.increment(HIT_RECORD)
-        internet.replay_stats(entry.fetch)
-        return (entry.record, entry.trace,
-                entry.prompt_tokens, entry.completion_tokens)
-
-    timings.increment(MISS_RECORD)
-    sector = corpus.sector_of.get(domain, "??")
-    crawl_key = keys.crawl_key(domain)
-    crawl_entry = cache.load_crawl(crawl_key)
-    prompt_tokens = completion_tokens = 0
-
-    if crawl_entry is not None:
-        timings.increment(HIT_CRAWL)
-        internet.replay_stats(crawl_entry.fetch)
-        fetch = crawl_entry.fetch
-        trace = crawl_entry.trace
-        if crawl_entry.outcome == "ok":
-            model = model_for_domain(options, domain)
-            record = annotate_document(domain, sector, crawl_entry.document,
-                                       model, options, trace=trace,
-                                       timings=timings)
-            prompt_tokens = model.usage.prompt_tokens
-            completion_tokens = model.usage.completion_tokens
-        else:
-            record = DomainAnnotations(domain=domain, sector=sector,
-                                       status=crawl_entry.outcome)
-    else:
-        timings.increment(MISS_CRAWL)
-        model = model_for_domain(options, domain)
-        with internet.record_stats() as sink:
-            with timings.stage("crawl"):
-                crawl = crawler.crawl_domain(domain)
-            trace, document, early = preprocess_domain(corpus, crawl,
-                                                       timings=timings,
-                                                       detector=detector)
-        # The sink has already folded into the enclosing accounting
-        # context; snapshot it for the cache entries.
-        fetch = FetchStats().merge(sink)
-        outcome = early.status if early is not None else "ok"
-        # Checkpoint the crawl layer *before* annotating: the trace is
-        # serialized now, so the segmentation fields annotate_document
-        # adds below don't leak into the crawl-stage entry.
-        cache.store_crawl(crawl_key, CachedCrawl(
-            outcome=outcome, trace=trace, fetch=fetch, document=document))
-        if early is not None:
-            record = early
-        else:
-            record = annotate_document(domain, sector, document, model,
-                                       options, trace=trace, timings=timings)
-            prompt_tokens = model.usage.prompt_tokens
-            completion_tokens = model.usage.completion_tokens
-
-    cache.store_record(record_key, CachedRecord(
-        record=record, trace=trace, prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens, fetch=fetch))
-    return record, trace, prompt_tokens, completion_tokens
+    entry = replay_record(corpus, cache, record_key, timings)
+    if entry is None:
+        crawl = load_or_crawl(corpus, crawler, domain, timings, cache, keys,
+                              detector=detector)
+        entry = annotate_crawl(corpus, domain, crawl, options, timings)
+        cache.store_record(record_key, entry)
+    return (entry.record, entry.trace, entry.prompt_tokens,
+            entry.completion_tokens)
 
 
 __all__ = [
@@ -509,8 +537,11 @@ __all__ = [
     "PipelineCache",
     "SCHEMA_VERSION",
     "STAGE_VERSIONS",
+    "annotate_crawl",
     "domain_input_fingerprint",
+    "load_or_crawl",
     "options_fingerprint",
     "process_domain_cached",
+    "replay_record",
     "site_fingerprint",
 ]

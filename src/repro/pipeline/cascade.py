@@ -420,9 +420,8 @@ class _Counters:
 
 def _cascade_taxonomy(model, segmented: SegmentedPolicy,
                       verifier: HallucinationVerifier,
-                      options: AnnotateOptions, local_index: DocumentIndex,
-                      bind_index, annotator: DistilledAnnotator,
-                      verdict_cache: dict,
+                      options: AnnotateOptions, index: DocumentIndex,
+                      annotator: DistilledAnnotator, verdict_cache: dict,
                       aspect: Aspect, taxonomy_name: str, extract, normalize,
                       taxonomy, record_type, threshold: float,
                       sensitive_threshold: float, honors_negation: bool,
@@ -434,7 +433,7 @@ def _cascade_taxonomy(model, segmented: SegmentedPolicy,
     — so a threshold ≥ 1.0 (every segment escalated) reproduces the legacy
     path byte-identically.
     """
-    bind_model_index(model, bind_index)
+    bind_model_index(model, index)
     outcome = AspectOutcome()
 
     # Both limits at/above 1.0 escalate unconditionally — skip the verdict
@@ -451,9 +450,8 @@ def _cascade_taxonomy(model, segmented: SegmentedPolicy,
             cache_key = ("tax", taxonomy_name, honors_negation, text)
             verdict = verdict_cache.get(cache_key)
             if verdict is None:
-                verdict = taxonomy_verdict(local_index.analysis(text),
-                                           annotator, taxonomy_name,
-                                           honors_negation)
+                verdict = taxonomy_verdict(index.analysis(text), annotator,
+                                           taxonomy_name, honors_negation)
                 verdict_cache[cache_key] = verdict
             limit = sensitive_threshold if verdict.sensitive else threshold
             if limit >= 1.0 or verdict.confidence < limit:
@@ -503,16 +501,15 @@ def _cascade_taxonomy(model, segmented: SegmentedPolicy,
 
 def _cascade_practices(model, segmented: SegmentedPolicy,
                        verifier: HallucinationVerifier,
-                       options: AnnotateOptions, local_index: DocumentIndex,
-                       bind_index, annotator: DistilledAnnotator,
-                       verdict_cache: dict,
+                       options: AnnotateOptions, index: DocumentIndex,
+                       annotator: DistilledAnnotator, verdict_cache: dict,
                        aspect: Aspect, task, valid_groups, build,
                        threshold: float, counters: _Counters,
                        ) -> AspectOutcome:
     """One practice aspect through the cascade (mirrors
     ``_annotate_practices``; practice segments always use the stricter
     threshold)."""
-    bind_model_index(model, bind_index)
+    bind_model_index(model, index)
     outcome = AspectOutcome()
 
     escalate_all = threshold >= 1.0
@@ -530,8 +527,8 @@ def _cascade_practices(model, segmented: SegmentedPolicy,
             verdict = verdict_cache.get(cache_key)
             if verdict is None:
                 verdict = practice_verdict(
-                    local_index.analysis(text), annotator, valid_groups,
-                    local_index, refine)
+                    index.analysis(text), annotator, valid_groups, index,
+                    refine)
                 verdict_cache[cache_key] = verdict
             if threshold >= 1.0 or verdict.confidence < threshold:
                 escalated.append((number, text))
@@ -571,7 +568,7 @@ def _cascade_practices(model, segmented: SegmentedPolicy,
 
 def cascade_aspects(model, segmented: SegmentedPolicy,
                     verifier: HallucinationVerifier, options,
-                    index: DocumentIndex | None,
+                    index: DocumentIndex,
                     timings: StageTimings | None = None,
                     ) -> tuple[AspectOutcome, AspectOutcome,
                                AspectOutcome, AspectOutcome]:
@@ -587,11 +584,6 @@ def cascade_aspects(model, segmented: SegmentedPolicy,
     annotator = cascade_model.annotator
     verdict_cache = cascade_model.verdict_cache
     base_threshold, practice_threshold = effective_thresholds(a_options)
-    # The fast path always needs line analyses; with use_docindex off the
-    # chat path keeps its legacy unbound behaviour (bind_index=None) while
-    # verdicts run on a local throwaway index.
-    local_index = (index if index is not None
-                   else DocumentIndex(segmented.document.text))
     honors_negation = a_options.include_negation and getattr(
         getattr(model, "profile", None), "honors_negation", True)
     counters = _Counters()
@@ -600,8 +592,8 @@ def cascade_aspects(model, segmented: SegmentedPolicy,
 
     with stage_scope(timings, "annotate.types"):
         types = _cascade_taxonomy(
-            model, segmented, verifier, a_options, local_index, index,
-            annotator, verdict_cache, Aspect.TYPES, "data-types",
+            model, segmented, verifier, a_options, index, annotator,
+            verdict_cache, Aspect.TYPES, "data-types",
             extract=lambda lines: run_extract_types(
                 model, lines, a_options.include_glossary,
                 a_options.include_negation),
@@ -612,8 +604,8 @@ def cascade_aspects(model, segmented: SegmentedPolicy,
             honors_negation=honors_negation, counters=counters)
     with stage_scope(timings, "annotate.purposes"):
         purposes = _cascade_taxonomy(
-            model, segmented, verifier, a_options, local_index, index,
-            annotator, verdict_cache, Aspect.PURPOSES, "purposes",
+            model, segmented, verifier, a_options, index, annotator,
+            verdict_cache, Aspect.PURPOSES, "purposes",
             extract=lambda lines: run_extract_purposes(
                 model, lines, a_options.include_glossary,
                 a_options.include_negation),
@@ -624,8 +616,8 @@ def cascade_aspects(model, segmented: SegmentedPolicy,
             honors_negation=honors_negation, counters=counters)
     with stage_scope(timings, "annotate.handling"):
         handling = _cascade_practices(
-            model, segmented, verifier, a_options, local_index, index,
-            annotator, verdict_cache, Aspect.HANDLING,
+            model, segmented, verifier, a_options, index, annotator,
+            verdict_cache, Aspect.HANDLING,
             task=lambda lines: run_annotate_handling(
                 model, lines,
                 ignore_anonymized=a_options.refine_anonymized_retention),
@@ -633,8 +625,8 @@ def cascade_aspects(model, segmented: SegmentedPolicy,
             threshold=practice_threshold, counters=counters)
     with stage_scope(timings, "annotate.rights"):
         rights = _cascade_practices(
-            model, segmented, verifier, a_options, local_index, index,
-            annotator, verdict_cache, Aspect.RIGHTS,
+            model, segmented, verifier, a_options, index, annotator,
+            verdict_cache, Aspect.RIGHTS,
             task=lambda lines: run_annotate_rights(model, lines),
             valid_groups=_RIGHTS_GROUPS, build=_build_rights,
             threshold=practice_threshold, counters=counters)

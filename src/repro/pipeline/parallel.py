@@ -38,9 +38,10 @@ Three interchangeable backends execute the shards
     totals match serial runs exactly.
 
 ``"serial"``
-    Runs the shards inline, in order, on the calling thread. Degenerate
-    but useful: the same sharded code path (including per-shard retries
-    and cache checkpoints) with zero concurrency.
+    Runs the shards inline, in order, on the calling thread: the same
+    sharded code path (including per-shard retries and cache checkpoints)
+    with zero concurrency. A plain ``run_pipeline`` call is one such shard
+    (:data:`INLINE`).
 
 Every backend produces byte-identical records, traces, and aggregate stats
 for every worker count and shard size.
@@ -49,6 +50,7 @@ for every worker count and shard size.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import time
 from concurrent.futures import (
@@ -120,6 +122,13 @@ class ExecutorOptions:
             raise ValueError(
                 f"ExecutorOptions.backend must be one of {BACKENDS}, "
                 f"got {self.backend!r}")
+
+
+#: The executor of a plain ``run_pipeline`` call: every domain in one
+#: shard, run inline on the calling thread, so the run shares one crawler
+#: and language detector, and an error raises at once instead of retrying.
+INLINE = ExecutorOptions(workers=1, shard_size=sys.maxsize, max_retries=0,
+                         backend="serial")
 
 
 @dataclass
@@ -396,10 +405,11 @@ def run_parallel_pipeline(corpus: SyntheticCorpus,
                           cache_dir=None) -> PipelineResult:
     """Run the pipeline on the sharded executor.
 
-    Output (records, traces, token totals) is byte-identical to the serial
-    :func:`~repro.pipeline.runner.run_pipeline` for the same corpus and
-    options, independent of ``executor.workers``, ``executor.shard_size``,
-    and ``executor.backend``.
+    Output (records, traces, token totals) depends only on the corpus,
+    the options and the domain list, not on ``executor.workers``,
+    ``executor.shard_size``, or ``executor.backend``. A domain listed
+    twice is processed once, at its first position (as in
+    :func:`crawl_domains`), so records, traces and progress totals agree.
 
     ``cache``/``cache_dir`` enable the content-addressed store (see
     :mod:`repro.pipeline.cache`): cache keys are computed once and shared
@@ -412,7 +422,8 @@ def run_parallel_pipeline(corpus: SyntheticCorpus,
     """
     options = options or PipelineOptions()
     executor = executor or ExecutorOptions()
-    domains = list(domains if domains is not None else corpus.domains)
+    domains = list(dict.fromkeys(
+        domains if domains is not None else corpus.domains))
     shards = make_shards(domains, executor.shard_size)
     relay = _ProgressRelay(progress, len(domains))
     keys = None
@@ -514,6 +525,7 @@ def crawl_domains(internet: SimulatedInternet, domains: list[str],
 __all__ = [
     "BACKENDS",
     "ExecutorOptions",
+    "INLINE",
     "ShardOutcome",
     "ShardTask",
     "crawl_domains",

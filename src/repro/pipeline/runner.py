@@ -1,7 +1,8 @@
 """End-to-end pipeline orchestration (the architecture of Figure 1).
 
 ``run_pipeline`` drives every stage for each domain — crawl → pre-process
-→ segment → annotate → verify — and aggregates the run-level statistics the
+→ segment → annotate → verify — through the sharded executor of
+:mod:`repro.pipeline.parallel`, and aggregates the run-level statistics the
 paper reports in §3 and §4. Per-domain details are kept as light-weight
 :class:`DomainTrace` objects (page HTML is dropped after pre-processing to
 keep full-corpus runs inside a laptop's memory budget).
@@ -16,7 +17,7 @@ from repro._util.profiling import StageTimings, stage_scope
 from repro._util.rng import stable_hash
 from repro.chatbot.models import ChatModel, make_model
 from repro.corpus.build import SyntheticCorpus
-from repro.crawler.crawler import CrawlResult, PrivacyCrawler
+from repro.crawler.crawler import CrawlResult
 from repro.pipeline.annotate import (
     AnnotateOptions,
     annotate_handling,
@@ -31,7 +32,6 @@ from repro.pipeline.records import DomainAnnotations
 from repro.pipeline.segmentation import SegmentedPolicy, segment_policy
 from repro.pipeline.verify import HallucinationVerifier
 from repro.taxonomy import Aspect
-from repro.web.browser import Browser
 from repro.web.net import FetchStats
 
 
@@ -49,10 +49,6 @@ class PipelineOptions:
     include_negation: bool = True
     #: §6 refinement: ignore indefinite retention of anonymized data.
     refine_anonymized_retention: bool = False
-    #: Share one per-document analysis index across a domain's tasks (pure
-    #: perf switch — output is byte-identical either way; ``False`` exists
-    #: for benchmarking and equivalence testing).
-    use_docindex: bool = True
     #: ``"chatbot"`` (paper pipeline, the byte-stable default) or
     #: ``"cascade"`` (distilled fast path + confidence-gated escalation,
     #: :mod:`repro.pipeline.cascade`).
@@ -211,7 +207,6 @@ def model_for_domain(options: PipelineOptions, domain: str) -> ChatModel:
 
 def run_pipeline(corpus: SyntheticCorpus,
                  options: PipelineOptions | None = None,
-                 model: ChatModel | None = None,
                  domains: list[str] | None = None,
                  progress=None,
                  workers: int | None = None,
@@ -220,14 +215,16 @@ def run_pipeline(corpus: SyntheticCorpus,
                  cache=None) -> PipelineResult:
     """Run the full pipeline over (a subset of) a corpus.
 
-    By default every domain is annotated with its own deterministically
-    seeded model (see :func:`domain_model_seed`), so results do not depend
-    on domain order or concurrency. Pass ``workers=N`` (or a full
+    Every domain is annotated with its own deterministically seeded model
+    (see :func:`domain_model_seed`), so results do not depend on domain
+    order or concurrency. By default the domains run inline as one
+    ``serial`` shard of
+    :func:`~repro.pipeline.parallel.run_parallel_pipeline`: one crawler and
+    language detector for the whole run, and no retries. Pass
+    ``workers=N`` (or a full
     :class:`~repro.pipeline.parallel.ExecutorOptions` via ``executor``) to
-    run on the sharded thread-pool executor; the output is byte-identical
-    to the serial run. Passing an explicit shared ``model`` keeps the
-    legacy sequential semantics (its noise stream advances across domains)
-    and is incompatible with ``workers``.
+    run on the sharded executor instead; the output is byte-identical.
+    A domain listed twice is processed once, at its first position.
 
     Pass ``cache_dir`` (or a prebuilt
     :class:`~repro.pipeline.cache.PipelineCache` via ``cache``) to enable
@@ -237,93 +234,22 @@ def run_pipeline(corpus: SyntheticCorpus,
     an interrupted run resumes from where it stopped. Cached results are
     byte-identical to fresh computation for every worker count.
     """
-    options = options or PipelineOptions()
-    if cache is None and cache_dir is not None:
-        from repro.pipeline.cache import PipelineCache
-
-        cache = PipelineCache(cache_dir)
-    if cache is not None and model is not None:
-        raise ValueError(
-            "run_pipeline: a shared `model` cannot be combined with "
-            "`cache`/`cache_dir`; cached results require order-invariant "
-            "per-domain models"
-        )
-    if workers is not None or executor is not None:
-        if model is not None:
-            raise ValueError(
-                "run_pipeline: a shared `model` cannot be combined with "
-                "`workers`/`executor`; per-domain models are required for "
-                "worker-count-invariant results"
-            )
-        from repro.pipeline.parallel import ExecutorOptions, run_parallel_pipeline
-
-        if executor is None:
-            executor = ExecutorOptions(workers=workers)
-        elif workers is not None and workers != executor.workers:
-            raise ValueError("run_pipeline: `workers` conflicts with "
-                             "`executor.workers`")
-        return run_parallel_pipeline(corpus, options, executor=executor,
-                                     domains=domains, progress=progress,
-                                     cache=cache)
-
-    if options.annotator == "cascade":
-        # Train (or fetch) the distilled model before the timed per-domain
-        # loop so setup cost never lands in one domain's annotate stage;
-        # training cost is reported on the CascadeModel itself.
-        from repro.pipeline.cascade import get_cascade_model
-
-        get_cascade_model(options)
-
-    browser = Browser(internet=corpus.internet)
-    crawler = PrivacyCrawler(browser)
-    domains = domains if domains is not None else corpus.domains
-    keys = None
-    if cache is not None:
-        from repro.pipeline.cache import CacheKeys, process_domain_cached
-
-        keys = CacheKeys(corpus, options)
-
-    records: list[DomainAnnotations] = []
-    traces: dict[str, DomainTrace] = {}
-    timings = StageTimings()
-    detector = LanguageDetector()
-    prompt_tokens = 0
-    completion_tokens = 0
-    with corpus.internet.record_stats() as fetch_stats:
-        for index, domain in enumerate(domains):
-            if cache is not None:
-                record, trace, ptok, ctok = process_domain_cached(
-                    corpus, crawler, domain, options, timings, cache, keys,
-                    detector=detector)
-                prompt_tokens += ptok
-                completion_tokens += ctok
-            else:
-                domain_model = model if model is not None \
-                    else model_for_domain(options, domain)
-                with timings.stage("crawl"):
-                    crawl = crawler.crawl_domain(domain)
-                record, trace = process_crawl(corpus, crawl, domain_model,
-                                              options, timings=timings,
-                                              detector=detector)
-                if model is None:
-                    prompt_tokens += domain_model.usage.prompt_tokens
-                    completion_tokens += domain_model.usage.completion_tokens
-            records.append(record)
-            traces[domain] = trace
-            if progress is not None:
-                progress(index + 1, len(domains), domain)
-    if model is not None:
-        prompt_tokens = model.usage.prompt_tokens
-        completion_tokens = model.usage.completion_tokens
-    return PipelineResult(
-        records=records,
-        traces=traces,
-        options=options,
-        prompt_tokens=prompt_tokens,
-        completion_tokens=completion_tokens,
-        fetch_stats=fetch_stats,
-        stage_timings=timings,
+    # Imported here: the executor module imports this one.
+    from repro.pipeline.parallel import (
+        INLINE,
+        ExecutorOptions,
+        run_parallel_pipeline,
     )
+
+    if executor is None:
+        executor = INLINE if workers is None \
+            else ExecutorOptions(workers=workers)
+    elif workers is not None and workers != executor.workers:
+        raise ValueError("run_pipeline: `workers` conflicts with "
+                         "`executor.workers`")
+    return run_parallel_pipeline(corpus, options, executor=executor,
+                                 domains=domains, progress=progress,
+                                 cache=cache, cache_dir=cache_dir)
 
 
 def process_crawl(corpus: SyntheticCorpus, crawl: CrawlResult,
@@ -402,8 +328,7 @@ def annotate_document(domain: str, sector: str, document,
     per-domain model and gets byte-identical output. ``trace`` (optional)
     receives the segmentation fields.
     """
-    index = (DocumentIndex.for_document(document)
-             if options.use_docindex else None)
+    index = DocumentIndex.for_document(document)
     with stage_scope(timings, "segment"):
         segmented = segment_policy(domain, document, model, index=index)
     if not options.use_segmentation:

@@ -197,13 +197,6 @@ class TestRobustness:
         warm = run_pipeline(corpus, OPTIONS, cache=cache)
         assert warm.stage_timings.counts()[HIT_RECORD] == n
 
-    def test_shared_model_rejected_with_cache(self, corpus, tmp_path):
-        from repro.chatbot.models import make_model
-
-        with pytest.raises(ValueError, match="shared `model`"):
-            run_pipeline(corpus, OPTIONS, model=make_model("sim-gpt-4-turbo"),
-                         cache_dir=tmp_path / "c")
-
 
 class TestKeyLayout:
     def test_different_options_use_disjoint_record_keys(self, corpus):

@@ -16,7 +16,9 @@ from repro.pipeline import (
     PipelineResult,
     bind_model_index,
     run_pipeline,
+    segment_policy,
 )
+from repro.pipeline import runner
 from repro.pipeline.verify import build_match_streams
 
 LINE = ("We do not collect your email address. We retain data for two (2) "
@@ -124,10 +126,15 @@ class TestPipelineEquivalence:
     """Byte-identical output with the index on vs. off — the acceptance
     oracle for the whole optimisation."""
 
-    def test_records_traces_tokens_identical(self):
+    def test_records_traces_tokens_identical(self, monkeypatch):
         corpus = build_corpus(CorpusConfig(seed=11, fraction=0.02))
-        on = run_pipeline(corpus, PipelineOptions(use_docindex=True))
-        off = run_pipeline(corpus, PipelineOptions(use_docindex=False))
+        on = run_pipeline(corpus, PipelineOptions())
+        # The off side: every domain annotates without a document index.
+        unindexed = []
+        monkeypatch.setattr(runner.DocumentIndex, "for_document",
+                            staticmethod(unindexed.append))
+        off = run_pipeline(corpus, PipelineOptions())
+        assert unindexed
         assert [r.to_json() for r in on.records] == \
             [r.to_json() for r in off.records]
         assert on.traces == off.traces
@@ -136,19 +143,18 @@ class TestPipelineEquivalence:
 
     def test_parallel_run_identical_with_index(self):
         corpus = build_corpus(CorpusConfig(seed=11, fraction=0.02))
-        serial = run_pipeline(corpus, PipelineOptions(use_docindex=True))
-        parallel = run_pipeline(corpus, PipelineOptions(use_docindex=True),
-                                workers=3)
+        serial = run_pipeline(corpus, PipelineOptions())
+        parallel = run_pipeline(corpus, PipelineOptions(), workers=3)
         assert [r.to_json() for r in serial.records] == \
             [r.to_json() for r in parallel.records]
 
     def test_shared_model_with_index_off_clears_binding(self):
-        # A shared model processing an ad-hoc document must not keep a
-        # stale index from a previous docindex-enabled domain.
+        # A shared model segmenting a document without an index must not
+        # keep a stale index from a previous indexed document.
         model = make_model("sim-gpt-4-turbo")
         bind_model_index(model, DocumentIndex())
-        corpus = build_corpus(CorpusConfig(seed=11, fraction=0.01))
-        run_pipeline(corpus, PipelineOptions(use_docindex=False), model=model)
+        segment_policy("a.com", _document("We collect your email address."),
+                       model, index=None)
         assert model.doc_index is None
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.pipeline import ExecutorOptions, PipelineOptions, run_pipeline
+from repro.pipeline import runner
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 OPTIONS = PipelineOptions()
@@ -222,11 +223,11 @@ def test_cached_cold_and_warm_match_golden(small_corpus, golden, tmp_path):
         len(GOLDEN_DOMAINS)
 
 
-def test_docindex_off_matches_golden(small_corpus, golden):
-    result = run_pipeline(small_corpus,
-                          PipelineOptions(use_docindex=False),
-                          domains=GOLDEN_DOMAINS)
-    _assert_matches(_snapshot(result), golden, "use_docindex=False")
+def test_docindex_off_matches_golden(small_corpus, golden, monkeypatch):
+    monkeypatch.setattr(runner.DocumentIndex, "for_document",
+                        staticmethod(lambda document: None))
+    result = run_pipeline(small_corpus, OPTIONS, domains=GOLDEN_DOMAINS)
+    _assert_matches(_snapshot(result), golden, "docindex off")
 
 
 # -- cascade column -----------------------------------------------------------

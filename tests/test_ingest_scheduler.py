@@ -17,7 +17,10 @@ from repro.ingest import (
     touch_domain,
     touched_shards,
 )
-from repro.pipeline import PipelineCache, PipelineOptions
+from repro.pipeline import PipelineCache, PipelineOptions, run_pipeline
+from repro.pipeline.cache import HIT_CRAWL, HIT_RECORD, MISS_CRAWL, \
+    MISS_RECORD
+from repro.web.browser import Browser
 from repro.serve import build_snapshot, partition_snapshot, \
     snapshot_from_cache
 
@@ -199,6 +202,43 @@ class TestWatchSet:
             scheduler.retire(gone)  # already unwatched
         with pytest.raises(IngestError):
             scheduler.launch("nope.invalid")
+
+
+class TestSharedCacheSteps:
+    def test_pipeline_replays_what_bootstrap_stored(self, tmp_path,
+                                                     monkeypatch):
+        """The watcher and the pipeline share the cache's record and crawl
+        steps, so each replays exactly what the other stored."""
+        corpus = build_corpus(CorpusConfig(seed=SEED, fraction=0.01))
+        cache = PipelineCache(tmp_path / "cache")
+        watched = corpus.domains[:8]
+        scheduler = IngestScheduler(corpus, PipelineOptions(), cache,
+                                    domains=watched)
+        expected = [r.to_json() for r in scheduler.bootstrap()]
+
+        warm = run_pipeline(corpus, PipelineOptions(), domains=watched,
+                            cache=cache)
+        counts = warm.stage_timings.counts()
+        assert counts[HIT_RECORD] == len(watched)
+        assert counts.get(MISS_RECORD, 0) == 0
+        assert [r.to_json() for r in warm.records] == expected
+
+        cache.invalidate("records")
+        fetches = []
+        real_goto = Browser.goto
+
+        def counting_goto(self, *args, **kwargs):
+            fetches.append(args)
+            return real_goto(self, *args, **kwargs)
+
+        monkeypatch.setattr(Browser, "goto", counting_goto)
+        rerun = run_pipeline(corpus, PipelineOptions(), domains=watched,
+                             cache=cache)
+        counts = rerun.stage_timings.counts()
+        assert counts[HIT_CRAWL] == len(watched)
+        assert counts.get(MISS_CRAWL, 0) == 0
+        assert fetches == []
+        assert [r.to_json() for r in rerun.records] == expected
 
 
 class TestReplayability:

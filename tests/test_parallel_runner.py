@@ -124,13 +124,6 @@ class TestProgressAndGuards:
         assert {domain for _, _, domain in calls} == set(corpus.domains)
         assert all(total == len(corpus.domains) for _, total, _ in calls)
 
-    def test_shared_model_rejected_with_workers(self, corpus):
-        from repro.chatbot import make_model
-
-        with pytest.raises(ValueError):
-            run_pipeline(corpus, model=make_model("sim-gpt-4-turbo"),
-                         workers=2)
-
     def test_conflicting_worker_specs_rejected(self, corpus):
         with pytest.raises(ValueError):
             run_pipeline(corpus, workers=2,
@@ -140,6 +133,40 @@ class TestProgressAndGuards:
         assert domain_model_seed(3, "a.com") == domain_model_seed(3, "a.com")
         assert domain_model_seed(3, "a.com") != domain_model_seed(3, "b.com")
         assert domain_model_seed(3, "a.com") != domain_model_seed(4, "a.com")
+
+
+class TestSinglePath:
+    """A plain ``run_pipeline`` call is one inline shard of the executor."""
+
+    def test_default_run_is_one_shard_of_every_domain(self, corpus,
+                                                      monkeypatch):
+        import repro.pipeline.parallel as par
+
+        real_run_shard = par.run_shard
+        calls = []
+
+        def spy(corpus, index, domains, *args, **kwargs):
+            calls.append(list(domains))
+            return real_run_shard(corpus, index, domains, *args, **kwargs)
+
+        monkeypatch.setattr(par, "run_shard", spy)
+        ds = corpus.domains[:5]
+        run_pipeline(corpus, PipelineOptions(model_seed=3), domains=ds)
+        assert calls == [ds]
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_duplicate_domains_processed_once(self, corpus, serial_result,
+                                              workers):
+        d = corpus.domains
+        calls = []
+        result = run_pipeline(corpus, PipelineOptions(model_seed=3),
+                              domains=d[:3] + d[:1], workers=workers,
+                              progress=lambda done, total, domain:
+                              calls.append((done, total)))
+        assert [r.to_json() for r in result.records] == \
+            [r.to_json() for r in serial_result.records[:3]]
+        assert list(result.traces) == d[:3]
+        assert calls[-1] == (3, 3)
 
 
 class TestCrawlDomainsDedupe:

@@ -244,6 +244,20 @@ class TestAnnotateApi:
         record = annotate_policy_html("<p>Nothing useful here.</p>")
         assert record.status == "no-annotations"
 
+    def test_cascade_annotator_honoured(self):
+        def annotate(options):
+            model = make_model("sim-gpt-4-turbo", seed=3)
+            record = annotate_policy_html(POLICY_HTML, model=model,
+                                          options=options)
+            return record.to_json(), model.usage.calls
+
+        chatbot, chatbot_calls = annotate(PipelineOptions())
+        _, cascade_calls = annotate(PipelineOptions(annotator="cascade"))
+        assert cascade_calls < chatbot_calls
+        parity, _ = annotate(PipelineOptions(annotator="cascade",
+                                             escalation_threshold=1.0))
+        assert parity == chatbot
+
 
 class TestRecordsRoundtrip:
     def _record(self):
