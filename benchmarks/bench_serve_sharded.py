@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Sharded serving benchmark: scatter-gather identity + asyncio front end.
+"""Sharded serving benchmark: merged-index identity + asyncio front end.
 
 Five phases, each with hard assertions (this doubles as the CI smoke):
 
@@ -10,7 +10,9 @@ Five phases, each with hard assertions (this doubles as the CI smoke):
    class (point lookups, facets, aggregates, predicate queries,
    compliance scans) and require byte-identical response bodies across
    shard counts {1, 2, 4, 7}, a shuffled record order, and a cold vs.
-   warm result cache — all compared against the single-index engine.
+   warm result cache — all compared against the single-index engine. A
+   sharded server answers from the merge of its shard indexes, so this
+   checks that merge end to end.
 3. **Async front end vs. submit-path baseline** — the same zipfian
    closed-loop workload, from the same coroutine clients, through (a)
    ``AnnotationServer.submit`` on a single-shard server and (b) the

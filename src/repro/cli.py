@@ -974,7 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--cache-entries", type=int, default=256)
     bench_parser.add_argument("--load-seed", type=int, default=0)
     bench_parser.add_argument("--shards", type=_positive_int, default=1,
-                              help="serve from N scatter-gather shards "
+                              help="serve from N shards merged into one index "
                               "(ignored when --snapshot is already a "
                               "sharded directory; default: 1)")
     bench_parser.add_argument("--out", metavar="PATH",

@@ -169,13 +169,12 @@ class AsyncFrontEnd:
     def inflight(self, name: str) -> int:
         return self._inflight.get(name, 0)
 
-    def swap_snapshot(self, snapshot, *, reuse_indexes: bool = True):
+    def swap_snapshot(self, snapshot):
         """Delegate a live snapshot swap to the backing server.
 
         Per-tenant admission state (inflight counts, rate windows) is
         deliberately untouched — quotas govern tenants, not content."""
-        return self.server.swap_snapshot(snapshot,
-                                         reuse_indexes=reuse_indexes)
+        return self.server.swap_snapshot(snapshot)
 
     def _admit_window(self, name: str, quota: TenantQuota) -> bool:
         """Fixed-window rate check; counts (and admits) on success.

@@ -32,6 +32,10 @@ seeded chaos harness:
      oracle-identical again (the pool healed, poisoned entries were
      rejected, the clock skew only aged the cache).
 
+  With ``shards > 1`` the faulty server serves a sharded snapshot while
+  the oracle stays a single-index engine, so the same byte diff also
+  checks the merged shard index under fire.
+
 The reusable blueprint — deterministic fault schedule + oracle diffing +
 invariant ledger — is exactly the shape a training/inference serving
 stack needs; nothing here knows about privacy policies beyond the query
@@ -431,7 +435,7 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
     ``shards > 1`` runs the same protocol against a sharded server while
     the oracle stays a *single-index* engine over the unpartitioned
     snapshot — so the diff simultaneously checks fault containment and
-    scatter-gather byte-identity under fire.
+    the merged shard index's byte-identity under fire.
     """
     workload_config = workload_config or WorkloadConfig(seed=plan.seed,
                                                         requests=400)

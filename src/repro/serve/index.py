@@ -21,12 +21,19 @@ every query class resolves from dict/list lookups:
 Everything is stored sorted (domains lexicographically, counts descending
 with lexicographic tie-breaks), which is what makes query results
 byte-stable across snapshot rebuilds and server worker counts.
+
+A sharded corpus is indexed shard by shard and then combined once, at
+build time, by :meth:`CorpusIndex.merge` into an index equal field for
+field to :meth:`CorpusIndex.build` over the whole snapshot, so one query
+engine serves both shapes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 from repro.analysis.stats import CategoryBreakdown
 from repro.analysis.tables import (
@@ -110,45 +117,23 @@ def _sorted_counter(counter: Counter) -> list[tuple[str, int]]:
     return sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def build_aggregate_payloads(records: list[DomainAnnotations], *,
-                             fingerprint: str,
-                             statuses: dict[str, int],
-                             sector_sizes: dict[str, int]) -> dict:
-    """The Table-1/2a/2b/3 + summary payloads for one record stream.
+def _merge_sorted(maps: list[dict[str, list]]) -> dict[str, list]:
+    """Union keyed sorted lists drawn from disjoint domain slices.
 
-    Shared by :class:`CorpusIndex` and the sharded scatter-gather engine:
-    table aggregates contain order-sensitive float reductions
-    (``CoverageStat.sd`` sums in record order) and insertion-order
-    tie-breaks (``Counter.most_common``), so the only way to keep a
-    sharded deployment byte-identical to a single index is to feed both
-    the *same canonical record stream* through the *same code path* —
-    which for shards means the k-way merge of the per-shard streams, not
-    a merge of per-shard table payloads.
+    No domain appears in two slices, so merging the slices' sorted lists
+    gives exactly the sorted list one index over the whole corpus holds;
+    no dedup pass is needed. ``sorted`` finds the k sorted runs in the
+    concatenation and merges them.
     """
-    annotated = [r for r in records if r.status == "annotated"]
-    return {
-        "table1": table1_payload(table1_summary(records)),
-        "table2a": breakdown_payload(table2a_types(records)),
-        "table2b": breakdown_payload(table2b_purposes(records)),
-        "table3": breakdown_payload(table3_practices(records)),
-        "summary": {
-            "fingerprint": fingerprint,
-            "domains": len(records),
-            "statuses": dict(sorted(statuses.items())),
-            "annotated": len(annotated),
-            "sectors": dict(sector_sizes),
-            "annotations": {
-                "types": sum(len(r.types) for r in records),
-                "purposes": sum(len(r.purposes) for r in records),
-                "handling": sum(len(r.handling) for r in records),
-                "rights": sum(len(r.rights) for r in records),
-            },
-            "fallback_domains": sum(1 for r in records
-                                    if r.fallback_aspects),
-            "hallucinations_filtered": sum(r.hallucinations_filtered
-                                           for r in records),
-        },
-    }
+    keys = sorted(set().union(*maps))
+    return {key: sorted(chain.from_iterable(m.get(key, ()) for m in maps))
+            for key in keys}
+
+
+def _atom_catalog(catalog: dict[str, set[Atom]]) -> dict[str, list[Atom]]:
+    """Aspect → sorted unique atoms, aspects in sorted order."""
+    return {aspect: sorted(atoms, key=Atom.key)
+            for aspect, atoms in sorted(catalog.items())}
 
 
 @dataclass
@@ -172,9 +157,6 @@ class CorpusIndex:
         field(default_factory=dict)
     #: aspect value → sorted (domain, line, verbatim) mention segments.
     segments_by_aspect: dict[str, list[tuple[str, int, str]]] = \
-        field(default_factory=dict)
-    #: aspect value → sorted domains whose segmentation extracted it.
-    domains_by_extracted_aspect: dict[str, list[str]] = \
         field(default_factory=dict)
     #: table name → JSON-ready aggregate payload.
     aggregates: dict[str, dict] = field(default_factory=dict)
@@ -207,7 +189,6 @@ class CorpusIndex:
         index.descriptor_counts = {f: Counter() for f in FACETS}
         index.descriptor_counts_by_sector = {f: {} for f in FACETS}
         aspect_segments: dict[str, list[tuple[str, int, str]]] = {}
-        extracted_sets: dict[str, set[str]] = {}
 
         def mention(facet: str, domain: str, sector: str, category: str,
                     name: str, aspect: Aspect, line: int,
@@ -225,8 +206,6 @@ class CorpusIndex:
             index.by_domain[domain] = record
             sector_sets.setdefault(record.sector, set()).add(domain)
             status_sets.setdefault(record.status, set()).add(domain)
-            for value in record.extracted_aspects:
-                extracted_sets.setdefault(value, set()).add(domain)
             for t in record.types:
                 mention("types", domain, record.sector, t.category,
                         t.descriptor, Aspect.TYPES, t.line, t.verbatim)
@@ -253,9 +232,65 @@ class CorpusIndex:
             value: sorted(segments)
             for value, segments in sorted(aspect_segments.items())
         }
-        index.domains_by_extracted_aspect = freeze(extracted_sets)
         index._build_aggregates()
         index._build_compliance()
+        return index
+
+    @classmethod
+    def merge(cls, parts: list["CorpusIndex"],
+              snapshot: CorpusSnapshot) -> "CorpusIndex":
+        """Combine indexes built over a domain partition of ``snapshot``.
+
+        ``parts`` index disjoint slices of ``snapshot``'s records that
+        together cover all of them (a shard set). The result equals
+        ``CorpusIndex.build(snapshot)`` field for field: sorted domain
+        lists, segment streams and atom postings k-way merge; counters
+        add; verdict rows union; logical forms merge by domain. Table
+        aggregates are not merged but rebuilt from ``snapshot``'s record
+        stream (see :meth:`_build_aggregates`).
+        """
+        index = cls(snapshot=snapshot)
+        index.by_domain = {record.domain: record
+                           for record in snapshot.records}
+        index.domains_by_sector = _merge_sorted(
+            [part.domains_by_sector for part in parts])
+        index.domains_by_status = _merge_sorted(
+            [part.domains_by_status for part in parts])
+        index.domains_by_category = {
+            f: _merge_sorted([part.domains_by_category[f] for part in parts])
+            for f in FACETS}
+        index.domains_by_descriptor = {
+            f: _merge_sorted([part.domains_by_descriptor[f]
+                              for part in parts])
+            for f in FACETS}
+        index.descriptor_counts = {f: Counter() for f in FACETS}
+        # Per facet, only sectors some part has a mention in (as in build).
+        index.descriptor_counts_by_sector = {f: {} for f in FACETS}
+        catalog: dict[str, set[Atom]] = {}
+        for part in parts:
+            for f in FACETS:
+                index.descriptor_counts[f].update(part.descriptor_counts[f])
+                by_sector = index.descriptor_counts_by_sector[f]
+                for sector, counts \
+                        in part.descriptor_counts_by_sector[f].items():
+                    by_sector.setdefault(sector, Counter()).update(counts)
+            for aspect, atoms in part.atoms_by_aspect.items():
+                catalog.setdefault(aspect, set()).update(atoms)
+        index.segments_by_aspect = _merge_sorted(
+            [part.segments_by_aspect for part in parts])
+        index._build_aggregates()
+        index.logical_forms = tuple(sorted(
+            chain.from_iterable(part.logical_forms for part in parts),
+            key=attrgetter("domain")))
+        index.domains_by_atom = _merge_sorted(
+            [part.domains_by_atom for part in parts])
+        index.atoms_by_aspect = _atom_catalog(catalog)
+        index.compliance_rows = {
+            name: {rule.id: {domain: row for part in parts
+                             for domain, row
+                             in part.compliance_rows[name][rule.id].items()}
+                   for rule in pack.rules}
+            for name, pack in RULE_PACKS.items()}
         return index
 
     def _build_compliance(self) -> None:
@@ -271,9 +306,7 @@ class CorpusIndex:
         self.domains_by_atom = {token: sorted(domains)
                                 for token, domains
                                 in sorted(atom_sets.items())}
-        self.atoms_by_aspect = {aspect: sorted(atoms,
-                                               key=lambda a: a.key())
-                                for aspect, atoms in sorted(catalog.items())}
+        self.atoms_by_aspect = _atom_catalog(catalog)
         forms = list(self.logical_forms)
         self.compliance_rows = {name: pack_rows(pack, forms)
                                 for name, pack in RULE_PACKS.items()}
@@ -331,12 +364,40 @@ class CorpusIndex:
             f"unknown predicate node {type(pred).__name__}")
 
     def _build_aggregates(self) -> None:
-        self.aggregates = build_aggregate_payloads(
-            list(self.snapshot.records),
-            fingerprint=self.snapshot.fingerprint,
-            statuses=self.snapshot.status_counts(),
-            sector_sizes={sector: len(domains) for sector, domains
-                          in self.domains_by_sector.items()})
+        """The Table-1/2a/2b/3 + summary payloads for the snapshot.
+
+        Always computed from the snapshot's canonical record stream, for
+        a merged index too: the tables hold order-sensitive float
+        reductions (``CoverageStat.sd`` sums in record order) and
+        insertion-order tie-breaks (``Counter.most_common``), so merging
+        per-part payloads would not be byte-stable.
+        """
+        records = list(self.snapshot.records)
+        annotated = [r for r in records if r.status == "annotated"]
+        self.aggregates = {
+            "table1": table1_payload(table1_summary(records)),
+            "table2a": breakdown_payload(table2a_types(records)),
+            "table2b": breakdown_payload(table2b_purposes(records)),
+            "table3": breakdown_payload(table3_practices(records)),
+            "summary": {
+                "fingerprint": self.snapshot.fingerprint,
+                "domains": len(records),
+                "statuses": self.snapshot.status_counts(),
+                "annotated": len(annotated),
+                "sectors": {sector: len(domains) for sector, domains
+                            in self.domains_by_sector.items()},
+                "annotations": {
+                    "types": sum(len(r.types) for r in records),
+                    "purposes": sum(len(r.purposes) for r in records),
+                    "handling": sum(len(r.handling) for r in records),
+                    "rights": sum(len(r.rights) for r in records),
+                },
+                "fallback_domains": sum(1 for r in records
+                                        if r.fallback_aspects),
+                "hallucinations_filtered": sum(r.hallucinations_filtered
+                                               for r in records),
+            },
+        }
 
     # -- read helpers ----------------------------------------------------
 
@@ -356,7 +417,6 @@ __all__ = [
     "TABLES",
     "CorpusIndex",
     "breakdown_payload",
-    "build_aggregate_payloads",
     "table1_payload",
 ]
 

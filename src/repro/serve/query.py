@@ -27,6 +27,8 @@ giving the server's hot-result cache a key that is independent of how the
 query object was constructed. Execution is pure and deterministic: the
 same query against the same snapshot always yields the same
 :class:`QueryResult`, whose :meth:`QueryResult.to_json` is byte-stable.
+:class:`QueryEngine` is the only executor: a sharded snapshot is served
+by the same handlers over the merge of its shard indexes.
 """
 
 from __future__ import annotations
@@ -240,12 +242,9 @@ class QueryResult:
 class QueryEngine:
     """Executes typed queries against a built :class:`CorpusIndex`.
 
-    The handlers only *read* the index's sorted lookup structures, so
-    any object exposing that surface works — the sharded scatter-gather
-    engine (:class:`repro.serve.shard.ShardedEngine`) passes its merged
-    per-shard partials through the same handlers for the query classes
-    whose partials merge exactly (sector/top-descriptor counters, table
-    aggregates, compliance verdict rows).
+    The one query path for both snapshot shapes: a sharded deployment
+    (:class:`repro.serve.shard.ShardedEngine`) runs these same handlers
+    over the :meth:`CorpusIndex.merge` of its shard indexes.
     """
 
     def __init__(self, index: "CorpusIndex"):

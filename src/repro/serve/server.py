@@ -30,11 +30,12 @@ Two scale-out extensions ride on the same loop:
 
 - **Sharded serving.** With ``ServerConfig.shards > 1`` (or an
   already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
-  server executes through the scatter-gather
-  :class:`~repro.serve.shard.ShardedEngine` — byte-identical to a single
-  index — and reports per-shard traffic in the metrics counters
-  (``serve.shard.<i>.queries`` for routed lookups,
-  ``serve.scatter.queries`` for fan-out classes).
+  server builds one index per shard and executes through
+  :class:`~repro.serve.shard.ShardedEngine`, whose index is their merge
+  — a ``CorpusIndex`` equal to the single index, so ``server.index`` is
+  a ``CorpusIndex`` either way. It reports per-shard traffic in the
+  metrics counters (``serve.shard.<i>.queries`` for domain lookups,
+  ``serve.scatter.queries`` for queries over the whole corpus).
 - **Predicate-level caching.** An injectable ``predicate_cache`` keyed by
   ``(predicate fingerprint, evidence, snapshot fingerprint)`` lets
   predicate answers survive snapshot refreshes: pass the same cache
@@ -66,18 +67,19 @@ built without them. Two hardening behaviours back the chaos invariants:
   ``ServerStopped`` error instead of abandoning its future.
 
 **Live snapshot swap.** Everything derived from the served snapshot
-(snapshot, shard set, engine, index, fingerprint) lives in one immutable
-:class:`_Generation` object held in a single attribute.
+(snapshot, shard set, engine and its index, fingerprint) lives in one
+immutable :class:`_Generation` object held in a single attribute.
 :meth:`AnnotationServer.swap_snapshot` builds the next generation fully
-off to the side (optionally reusing unchanged shard indexes from the old
-one) and installs it with one attribute store — atomic under the GIL, so
-no request ever observes a half-built index. Each request captures the
+off to the side (reusing unchanged shard indexes from the old one) and
+installs it with one attribute store — atomic under the GIL, so no
+request ever observes a half-built index. Each request captures the
 generation exactly once and serves entirely from that capture: in-flight
 queries finish on the old index (the capture keeps it alive), new
-arrivals see the new one. Hot-cache keys are prefixed with the
-generation's fingerprint (and predicate-cache keys already embed it), so
-entries from a superseded generation are structurally unreachable — no
-flush, no stale byte.
+arrivals see the new one. Nothing else refers to a replaced generation,
+so it is freed when its last in-flight request finishes. Hot-cache keys
+are prefixed with the generation's fingerprint (and predicate-cache keys
+already embed it), so entries from a superseded generation are
+structurally unreachable — no flush, no stale byte.
 """
 
 from __future__ import annotations
@@ -126,10 +128,11 @@ class ServerConfig:
     #: beyond this the counters still advance but samples are dropped,
     #: keeping long-running servers at bounded memory.
     max_latency_samples: int = 100_000
-    #: Index shards; >1 partitions the snapshot by domain hash and serves
-    #: through the scatter-gather :class:`~repro.serve.shard.ShardedEngine`
-    #: (byte-identical to a single index). Ignored when the server is
-    #: handed an already-partitioned ShardedSnapshot.
+    #: Index shards; >1 partitions the snapshot by domain hash, builds one
+    #: index per shard and serves their merge through
+    #: :class:`~repro.serve.shard.ShardedEngine` (byte-identical to a
+    #: single index). Ignored when the server is handed an
+    #: already-partitioned ShardedSnapshot.
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -342,7 +345,6 @@ class _Generation:
     snapshot: object          # CorpusSnapshot | ShardedSnapshot (as given)
     sharded: "ShardedSnapshot | None"
     engine: object            # QueryEngine | ShardedEngine
-    index: object             # CorpusIndex | ShardedEngine (merged view)
     fingerprint: str
 
 
@@ -387,15 +389,11 @@ def _build_generation(snapshot, config: ServerConfig,
         served = partition_snapshot(snapshot, config.shards)
     reuse_engine = reuse.engine if reuse is not None \
         and isinstance(reuse.engine, ShardedEngine) else None
-    engine = engine_for(served, reuse_from=reuse_engine)
-    if isinstance(served, ShardedSnapshot):
-        # The merged read view duck-types the single-index surface, so
-        # loadgen/chaos consumers of ``server.index`` are oblivious to
-        # sharding.
-        return _Generation(snapshot=snapshot, sharded=served, engine=engine,
-                           index=engine, fingerprint=served.fingerprint)
-    return _Generation(snapshot=snapshot, sharded=None, engine=engine,
-                       index=engine.index, fingerprint=snapshot.fingerprint)
+    return _Generation(
+        snapshot=snapshot,
+        sharded=served if isinstance(served, ShardedSnapshot) else None,
+        engine=engine_for(served, reuse_from=reuse_engine),
+        fingerprint=served.fingerprint)
 
 
 class WorkerCrash(Exception):
@@ -465,14 +463,13 @@ class AnnotationServer:
 
     @property
     def index(self):
-        return self._gen.index
+        return self._gen.engine.index
 
     @property
     def fingerprint(self) -> str:
         return self._gen.fingerprint
 
-    def swap_snapshot(self, snapshot, *,
-                      reuse_indexes: bool = True) -> SwapReport:
+    def swap_snapshot(self, snapshot) -> SwapReport:
         """Atomically install a refreshed snapshot under load.
 
         The next generation (shard set, indexes, engine) is built
@@ -483,14 +480,13 @@ class AnnotationServer:
         none can observe a mix. Old hot-cache entries stay behind their
         old fingerprint prefix (structurally unreachable, evicted by
         TTL/LRU); the predicate cache needs no action because its keys
-        already embed the snapshot fingerprint. ``reuse_indexes`` lets a
-        sharded build adopt unchanged shard indexes from the old
-        generation. Callable whether or not the server is started.
+        already embed the snapshot fingerprint. A sharded build adopts
+        the old generation's index for every shard whose content is
+        unchanged. Callable whether or not the server is started.
         """
         old = self._gen
         started = self._clock()
-        new = _build_generation(snapshot, self.config,
-                                reuse=old if reuse_indexes else None)
+        new = _build_generation(snapshot, self.config, reuse=old)
         build_s = self._clock() - started
         self._gen = new
         self.metrics.increment("serve.swap.count")
@@ -696,8 +692,9 @@ class AnnotationServer:
         return self._injector
 
     def _record_shard(self, gen: _Generation, query: Query) -> None:
-        """Per-shard accounting: routed queries count against their
-        shard, fan-out queries against the scatter path."""
+        """Per-shard accounting: domain lookups count against their
+        shard, queries over the whole corpus against the scatter
+        counter."""
         if gen.sharded is None:
             return
         shard = gen.engine.route(query)

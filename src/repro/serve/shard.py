@@ -1,35 +1,26 @@
-"""Sharded snapshots and the scatter-gather query engine.
+"""Sharded snapshots and the sharded query engine.
 
 Horizontal structure for the serving layer: a :class:`CorpusSnapshot`
 is partitioned by **domain hash** into N independently-loadable shards,
 each of which builds its own :class:`~repro.serve.index.CorpusIndex`
-(inverted indexes, atom posting lists, per-rule verdict rows). A
-:class:`ShardedEngine` then answers every query class with output
-**byte-identical** to the single-index
-:class:`~repro.serve.query.QueryEngine`:
+(inverted indexes, atom posting lists, per-rule verdict rows). Only the
+index *build* is split across shards; the query path is not:
 
 - **Routing.** ``shard_for_domain`` is a stable SHA-256 placement (never
   Python's randomized ``hash``), so a domain's shard is a pure function
   of ``(domain, shard_count)`` — the same on every host, every process,
-  every run. ``DomainLookup`` routes to exactly one shard.
-- **Query-time scatter-gather.** ``FacetFilter`` fans out and k-way
-  merges per-shard sorted domain lists (shards partition the domain
-  space, so the merge of sorted disjoint lists *is* the global sorted
-  list); ``AspectMentions`` lazily merges per-shard sorted segment
-  streams and stops at the limit; ``PredicateQuery`` runs candidate
-  pruning + verification inside each shard and merges matched forms in
-  domain order.
-- **Build-time partial merges.** Descriptor counters are additive and
-  rendered through a totally-ordered sort, so sector aggregates and
-  top-descriptor queries serve from per-shard counters merged once at
-  load. Compliance verdict rows are per-domain and merge by union.
-- **Table aggregates from the merged stream.** Table payloads embed
-  order-sensitive float reductions (``CoverageStat.sd`` sums in record
-  order) and ``Counter.most_common`` insertion-order tie-breaks;
-  merging per-shard *payloads* cannot be byte-stable, so tables are
-  built once from the k-way-merged canonical record stream through the
-  exact single-index code path
-  (:func:`~repro.serve.index.build_aggregate_payloads`).
+  every run. ``ShardedEngine.route`` names the one shard a
+  ``DomainLookup`` reads, for per-shard traffic counters.
+- **One merged index.** :class:`ShardedEngine` is a
+  :class:`~repro.serve.query.QueryEngine` whose index is
+  :meth:`CorpusIndex.merge` of its shard indexes, taken once at build
+  time: equal field for field to ``CorpusIndex.build`` over the
+  unsharded snapshot, so every query class runs through the one engine
+  and its answers are byte-identical by construction.
+- **Incremental rebuilds.** A shard index is a pure function of its
+  shard's records, so a refreshed shard set adopts the previous
+  engine's index for every shard whose content fingerprint is unchanged
+  (``reuse_from``) and builds only the touched ones before the merge.
 
 The on-disk layout is a directory: a ``manifest.json`` naming the shard
 files, their fingerprints, and the **global** corpus fingerprint, plus
@@ -44,35 +35,15 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
 from repro._util.artifacts import write_json_atomic
-from repro.compliance.logic import LogicalForm
-from repro.compliance.predicate import holds, parse_predicate
-from repro.compliance.rules import RULE_PACKS
 from repro.errors import SnapshotError
 from repro.pipeline.records import DomainAnnotations
-from repro.serve.index import (
-    FACETS,
-    CorpusIndex,
-    _sorted_counter,
-    build_aggregate_payloads,
-)
-from repro.serve.query import (
-    AspectMentions,
-    DomainLookup,
-    FacetFilter,
-    PredicateQuery,
-    Query,
-    QueryEngine,
-    QueryResult,
-    query_kind,
-    validate_query,
-)
+from repro.serve.index import CorpusIndex
+from repro.serve.query import DomainLookup, Query, QueryEngine
 from repro.serve.snapshot import (
     CorpusSnapshot,
     build_snapshot,
@@ -157,8 +128,16 @@ def partition_snapshot(snapshot: CorpusSnapshot,
 
 
 def merged_snapshot(sharded: ShardedSnapshot) -> CorpusSnapshot:
-    """Reassemble the single-index snapshot a shard set was cut from."""
-    return build_snapshot(sharded.records(), source=sharded.source,
+    """Reassemble the single-index snapshot a shard set was cut from.
+
+    The merged stream is already canonical (each shard is domain-sorted
+    and deduplicated, and shards share no domain), and
+    ``sharded.fingerprint`` is by construction its fingerprint, so
+    nothing is re-serialized or re-hashed here.
+    """
+    return CorpusSnapshot(records=tuple(sharded.records()),
+                          fingerprint=sharded.fingerprint,
+                          source=sharded.source,
                           provenance=dict(sharded.provenance))
 
 
@@ -282,49 +261,33 @@ def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
                                            or {}))
 
 
-# -- scatter-gather engine -----------------------------------------------
+# -- sharded engine -------------------------------------------------------
 
 
-def _merge_domain_lists(maps: list[dict[str, list[str]]]
-                        ) -> dict[str, list[str]]:
-    """Union keyed sorted-domain lists across shards (lists disjoint)."""
-    keys = sorted(set().union(*maps)) if maps else []
-    return {key: list(heapq.merge(*(m.get(key, []) for m in maps)))
-            for key in keys}
+class ShardedEngine(QueryEngine):
+    """A :class:`~repro.serve.query.QueryEngine` over a shard set.
 
-
-def _merge_counters(counters: list[Counter]) -> Counter:
-    merged: Counter = Counter()
-    for counter in counters:
-        merged.update(counter)
-    return merged
-
-
-class ShardedEngine:
-    """Scatter-gather execution over per-shard indexes.
-
-    Duck-types the :class:`~repro.serve.index.CorpusIndex` read surface
-    the load generator and the gather-side handlers consume (merged
-    ``by_domain``, facet maps, descriptor counters, aggregates,
-    compliance structures), so a sharded server drops into every place a
-    single index fits. ``execute`` is byte-identical to
+    Each shard gets its own :class:`~repro.serve.index.CorpusIndex`;
+    ``index`` is their :meth:`~repro.serve.index.CorpusIndex.merge`, a
+    real ``CorpusIndex`` equal to one built over the unsharded snapshot,
+    so ``execute`` is byte-identical to
     ``QueryEngine(CorpusIndex.build(snapshot)).execute`` for every query
-    class — the differential suite and ``bench_serve_sharded`` hold it
-    to that.
+    class — the differential suite and ``bench_serve_sharded`` hold it to
+    that.
 
     ``reuse_from`` is the incremental-refresh seam: pass the engine built
     over the *previous* snapshot generation and any shard whose content
-    fingerprint is unchanged adopts the old engine's already-built
-    :class:`CorpusIndex` instead of rebuilding it. Safe because a shard
-    index is a pure function of the shard snapshot's records (which
-    determine its fingerprint) and is read-only after build; ``reused_shards``
-    reports how many rebuilds were skipped.
+    fingerprint is unchanged adopts the old engine's already-built shard
+    index instead of rebuilding it. Safe because a shard index is a pure
+    function of the shard snapshot's records (which determine its
+    fingerprint) and is read-only after build; ``reused_shards`` reports
+    how many rebuilds were skipped. The new engine keeps no reference to
+    ``reuse_from``, so a replaced generation is freed as soon as its last
+    reader lets go.
     """
 
     def __init__(self, sharded: ShardedSnapshot,
                  reuse_from: "ShardedEngine | None" = None):
-        self.sharded = sharded
-        self.fingerprint = sharded.fingerprint
         reusable: dict[str, CorpusIndex] = {}
         if reuse_from is not None:
             for index in reuse_from.shard_indexes:
@@ -338,69 +301,8 @@ class ShardedEngine:
                 self.reused_shards += 1
             else:
                 self.shard_indexes.append(CorpusIndex.build(shard))
-        self.shard_engines = [QueryEngine(index)
-                              for index in self.shard_indexes]
-        records = sharded.records()
-
-        # Merged read views (build-time partial merges).
-        self.by_domain = {record.domain: record for record in records}
-        self.domains_by_sector = _merge_domain_lists(
-            [i.domains_by_sector for i in self.shard_indexes])
-        self.domains_by_status = _merge_domain_lists(
-            [i.domains_by_status for i in self.shard_indexes])
-        self.domains_by_category = {
-            facet: _merge_domain_lists(
-                [i.domains_by_category[facet] for i in self.shard_indexes])
-            for facet in FACETS}
-        self.domains_by_descriptor = {
-            facet: _merge_domain_lists(
-                [i.domains_by_descriptor[facet]
-                 for i in self.shard_indexes])
-            for facet in FACETS}
-        self.descriptor_counts = {
-            facet: _merge_counters([i.descriptor_counts[facet]
-                                    for i in self.shard_indexes])
-            for facet in FACETS}
-        self.descriptor_counts_by_sector = {
-            facet: {
-                sector: _merge_counters(
-                    [i.descriptor_counts_by_sector[facet].get(
-                        sector, Counter()) for i in self.shard_indexes])
-                for sector in self.domains_by_sector
-            }
-            for facet in FACETS}
-        self.logical_forms: tuple[LogicalForm, ...] = tuple(
-            heapq.merge(*(i.logical_forms for i in self.shard_indexes),
-                        key=_DOMAIN_KEY))
-        self.atoms_by_aspect = {
-            aspect: sorted({atom for i in self.shard_indexes
-                            for atom in i.atoms_by_aspect.get(aspect, ())},
-                           key=lambda a: a.key())
-            for aspect in sorted({aspect for i in self.shard_indexes
-                                  for aspect in i.atoms_by_aspect})}
-        self.compliance_rows = {
-            pack: {
-                rule_id: {
-                    domain: row
-                    for i in self.shard_indexes
-                    for domain, row
-                    in i.compliance_rows[pack][rule_id].items()
-                }
-                for rule_id in RULE_PACKS[pack].rule_ids()
-            }
-            for pack in RULE_PACKS}
-
-        statuses: dict[str, int] = {}
-        for record in records:
-            statuses[record.status] = statuses.get(record.status, 0) + 1
-        # Tables: merged canonical record stream through the single-index
-        # code path — see the module docstring for why payload-level
-        # merging cannot be byte-stable.
-        self.aggregates = build_aggregate_payloads(
-            records, fingerprint=sharded.fingerprint, statuses=statuses,
-            sector_sizes={sector: len(domains) for sector, domains
-                          in self.domains_by_sector.items()})
-        self._gather = QueryEngine(self)
+        super().__init__(CorpusIndex.merge(self.shard_indexes,
+                                           merged_snapshot(sharded)))
 
     @property
     def shard_count(self) -> int:
@@ -409,81 +311,12 @@ class ShardedEngine:
     def shard_domain_counts(self) -> list[int]:
         return [len(index.by_domain) for index in self.shard_indexes]
 
-    def top_descriptors(self, facet: str, k: int,
-                        sector: str | None = None) -> list[tuple[str, int]]:
-        """Top-k over merged counters — same total order as one index."""
-        if sector is None:
-            counter = self.descriptor_counts[facet]
-        else:
-            counter = self.descriptor_counts_by_sector[facet].get(
-                sector, Counter())
-        return _sorted_counter(counter)[:k]
-
-    # -- routing ---------------------------------------------------------
-
     def route(self, query: Query) -> int | None:
-        """The single shard a query resolves on, or ``None`` to scatter."""
+        """The one shard a domain lookup reads, or ``None`` for a query
+        over the whole corpus."""
         if isinstance(query, DomainLookup):
             return shard_for_domain(query.domain, self.shard_count)
         return None
-
-    # -- execution -------------------------------------------------------
-
-    def execute(self, query: Query) -> QueryResult:
-        validate_query(query)
-        kind = query_kind(query)
-        shard = self.route(query)
-        if shard is not None:
-            return self.shard_engines[shard].execute(query)
-        if isinstance(query, FacetFilter):
-            return QueryResult(kind=kind, payload=self._gather_filter(query))
-        if isinstance(query, AspectMentions):
-            return QueryResult(kind=kind, payload=self._gather_aspect(query))
-        if isinstance(query, PredicateQuery):
-            return QueryResult(kind=kind,
-                               payload=self._gather_predicate(query))
-        # sector / top-descriptors / table / compliance serve from the
-        # build-time merged partials via the shared handler code.
-        return self._gather.execute(query)
-
-    def _gather_filter(self, query: FacetFilter) -> dict:
-        """Fan out; merge per-shard sorted, disjoint domain lists."""
-        partials = [engine._run_filter(query)
-                    for engine in self.shard_engines]
-        domains = list(heapq.merge(*(p["domains"] for p in partials)))
-        return {"facet": query.facet, "count": len(domains),
-                "domains": domains}
-
-    def _gather_aspect(self, query: AspectMentions) -> dict:
-        """Lazy k-way merge of per-shard sorted segment streams."""
-        streams = [index.segments_by_aspect.get(query.aspect, [])
-                   for index in self.shard_indexes]
-        merged = islice(heapq.merge(*streams), query.limit)
-        return {
-            "aspect": query.aspect,
-            "total": sum(len(stream) for stream in streams),
-            "mentions": [
-                {"domain": domain, "line": line, "verbatim": verbatim}
-                for domain, line, verbatim in merged
-            ],
-        }
-
-    def _gather_predicate(self, query: PredicateQuery) -> dict:
-        """Prune + verify inside each shard; merge matches by domain."""
-        from repro.compliance.oracle import predicate_answer_payload
-
-        pred = parse_predicate(query.predicate)
-        matched_streams: list[list[LogicalForm]] = []
-        total = 0
-        for index in self.shard_indexes:
-            candidates = index.candidate_domains(pred)
-            matched_streams.append(
-                [form for form in index.logical_forms
-                 if form.domain in candidates and holds(pred, form)])
-            total += len(index.logical_forms)
-        matched = list(heapq.merge(*matched_streams, key=_DOMAIN_KEY))
-        return predicate_answer_payload(pred, matched, total,
-                                        evidence=query.evidence)
 
 
 def engine_for(snapshot: "CorpusSnapshot | ShardedSnapshot",

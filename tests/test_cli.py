@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _USAGE_HINT, build_parser, main
+from repro.pipeline.records import read_jsonl
+from repro.serve import (
+    build_snapshot,
+    partition_snapshot,
+    write_sharded_snapshot,
+    write_snapshot,
+)
+
+GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.jsonl"
 
 
 class TestParser:
@@ -221,6 +231,37 @@ class TestServeCommands:
         assert args.requests == 2000
         assert args.serve_workers == 2
         assert args.queue_depth == 64
+
+
+class TestShardedDirectory:
+    """A sharded directory answers exactly like the snapshot file it was
+    cut from."""
+
+    @pytest.fixture(scope="class")
+    def golden_paths(self, tmp_path_factory):
+        snapshot = build_snapshot(read_jsonl(GOLDEN_RECORDS),
+                                  source="golden")
+        root = tmp_path_factory.mktemp("cli-sharded")
+        write_snapshot(snapshot, root / "golden.snap.json")
+        write_sharded_snapshot(partition_snapshot(snapshot, 3),
+                               root / "golden.sharded")
+        return root / "golden.snap.json", root / "golden.sharded"
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--table", "summary"],
+        ["query", "--aspect", "types", "--limit", "5"],
+        ["query", "--filter", "types", "--category", "Contact info"],
+        ["compliance", "--pack", "gdpr", "--engine", "check"],
+    ], ids=["summary", "aspect", "filter", "compliance-check"])
+    def test_file_and_sharded_directory_print_the_same(self, capsys,
+                                                      golden_paths, argv):
+        printed = []
+        for path in golden_paths:
+            capsys.readouterr()
+            assert main([argv[0], "--snapshot", str(path), *argv[1:]]) == 0
+            printed.append(capsys.readouterr().out)
+        assert json.loads(printed[0])["payload"]
+        assert printed[1] == printed[0]
 
 
 class TestChaosCommand:

@@ -1,4 +1,4 @@
-"""Sharded serving: routing, round trips, scatter-gather byte-identity.
+"""Sharded serving: routing, round trips, merged-index byte-identity.
 
 The differential suite is the contract: for every query class, a
 sharded deployment's responses must be byte-identical to the
@@ -8,14 +8,18 @@ disk round trips, cold and warm caches, and under chaos fire.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.compliance.oracle import random_predicate
 from repro.errors import SnapshotError
+from repro.ingest import RecordPatch, apply_patches_sharded
 from repro.pipeline.records import DomainAnnotations, HandlingAnnotation, \
     TypeAnnotation, read_jsonl
 from repro.serve import (
@@ -130,6 +134,7 @@ class TestPartition:
         assert sharded.domain_count() == snapshot.domain_count()
         merged = merged_snapshot(sharded)
         assert merged.fingerprint == snapshot.fingerprint
+        assert merged == snapshot
 
     def test_every_record_lands_on_its_hash_shard(self):
         sharded = partition_snapshot(_snapshot(), 4)
@@ -210,21 +215,22 @@ class TestShardedDisk:
 
 
 class TestMergedViews:
-    """ShardedEngine's merged read views equal the single index's."""
+    """ShardedEngine's index is the merge of its shard indexes."""
 
-    def test_merged_views_match_single_index(self):
-        snapshot = _snapshot()
-        index = CorpusIndex.build(snapshot)
-        engine = ShardedEngine(partition_snapshot(snapshot, 3))
-        assert sorted(engine.by_domain) == sorted(index.by_domain)
-        assert engine.domains_by_sector == index.domains_by_sector
-        assert engine.domains_by_status == index.domains_by_status
-        assert engine.descriptor_counts == index.descriptor_counts
-        assert engine.aggregates == index.aggregates
-        assert [f.domain for f in engine.logical_forms] == \
-            [f.domain for f in index.logical_forms]
-        assert engine.atoms_by_aspect.keys() == \
-            index.atoms_by_aspect.keys()
+    def test_merged_views_match_single_index(self, golden_snapshot):
+        """Every CorpusIndex field of the merge equals the single
+        index's, at every shard count."""
+        single = CorpusIndex.build(golden_snapshot)
+        for shards in SHARD_COUNTS:
+            merged = ShardedEngine(
+                partition_snapshot(golden_snapshot, shards)).index
+            assert type(merged) is CorpusIndex
+            for field in dataclasses.fields(CorpusIndex):
+                assert getattr(merged, field.name) == \
+                    getattr(single, field.name), (shards, field.name)
+            assert merged.fingerprint == single.fingerprint
+        server = AnnotationServer(golden_snapshot, ServerConfig(shards=4))
+        assert isinstance(server.index, CorpusIndex)
 
     def test_domain_lookup_routes_to_one_shard(self):
         snapshot = _snapshot()
@@ -233,6 +239,36 @@ class TestMergedViews:
             shard = engine.route(DomainLookup(domain=record.domain))
             assert shard == shard_for_domain(record.domain, 4)
         assert engine.route(TableAggregate(table="summary")) is None
+
+
+class TestReplacedEngineIsFreed:
+    """A ShardedEngine holds no reference cycle, so dropping the last
+    reference frees it at once — not at the next cyclic collection."""
+
+    def test_bare_engine_freed_on_del(self):
+        gc.disable()
+        try:
+            engine = ShardedEngine(partition_snapshot(_snapshot(), 4))
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_swapped_out_generation_freed_at_swap(self):
+        server = AnnotationServer(_snapshot(12), ServerConfig(shards=4))
+        edited = dataclasses.replace(server.index.by_domain["site1.com"],
+                                     sector="ED")
+        refresh = apply_patches_sharded(
+            server.sharded, [RecordPatch.upsert("site1.com", edited)])
+        gc.disable()
+        try:
+            ref = weakref.ref(server.engine)
+            report = server.swap_snapshot(refresh.sharded)
+            assert report.changed and report.shards_reused == 3
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDifferential:
@@ -289,7 +325,7 @@ class TestDifferential:
 
 class TestShardedChaos:
     def test_sharded_chaos_run_has_zero_violations(self):
-        """Fault containment AND scatter-gather identity, simultaneously:
+        """Fault containment AND sharded byte-identity, simultaneously:
         a sharded server under fire is oracle-diffed against a fault-free
         single-index engine."""
         report = run_chaos(
