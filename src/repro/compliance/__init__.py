@@ -21,8 +21,9 @@ questions*:
 
 Compilation is deterministic, so every compiled form, query answer, and
 verdict is golden-pinnable; the serving integration lives in
-:mod:`repro.serve` (atom posting lists, ``PredicateQuery`` /
-``ComplianceScan`` query classes, the ``compliance`` CLI subcommand).
+:mod:`repro.serve` (atom and clause posting lists that answer
+predicates by set algebra, ``PredicateQuery`` / ``ComplianceScan``
+query classes, the ``compliance`` CLI subcommand).
 """
 
 from repro.compliance.logic import (
@@ -52,6 +53,7 @@ from repro.compliance.predicate import (
     SameSegment,
     evidence_spans,
     holds,
+    matching_atoms,
     parse_predicate,
     predicate_fingerprint,
     predicate_from_payload,
@@ -101,6 +103,7 @@ __all__ = [
     "SameSegment",
     "evidence_spans",
     "holds",
+    "matching_atoms",
     "parse_predicate",
     "predicate_fingerprint",
     "predicate_from_payload",

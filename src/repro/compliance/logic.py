@@ -28,6 +28,12 @@ and deduplicated, so the compiled form — and its content
 to an annotation's content (category, descriptor, line, verbatim, even
 detail fields like retention periods) moves the fingerprint. That is the
 property the golden suite and the differential harness pin.
+
+Forms and atoms are frozen, so what is derived from them alone is
+computed once and kept on the object: a form's sorted atom set
+(:meth:`LogicalForm.atoms`) and an atom's rendered key
+(:meth:`Atom.token`). The memo is not a field, so equality, hashing and
+payloads never see it.
 """
 
 from __future__ import annotations
@@ -58,9 +64,18 @@ class Atom:
         return (self.aspect, self.category, self.name, self.negated)
 
     def token(self) -> str:
-        """Unambiguous string key (posting-list / payload identity)."""
-        return canonical_json([self.aspect, self.category, self.name,
-                               self.negated])
+        """Canonical JSON of :meth:`to_payload`, rendered once.
+
+        The posting-list key, and the atom part of the evidence sort key
+        (:func:`repro.compliance.predicate.support_spans` orders spans by
+        line, then this string, then verbatim).
+        """
+        try:
+            return self._token
+        except AttributeError:
+            token = canonical_json(self.to_payload())
+            object.__setattr__(self, "_token", token)
+            return token
 
     def to_payload(self) -> dict:
         return {"aspect": self.aspect, "category": self.category,
@@ -166,10 +181,15 @@ class LogicalForm:
     fingerprint: str = field(compare=False, default="")
 
     def atoms(self) -> tuple[Atom, ...]:
-        """Sorted unique atoms across all clauses."""
-        return tuple(sorted({atom for clause in self.clauses
-                             for atom in clause.atoms()},
-                            key=lambda a: a.key()))
+        """Sorted unique atoms across all clauses (computed once)."""
+        try:
+            return self._atoms
+        except AttributeError:
+            atoms = tuple(sorted({entry.atom for clause in self.clauses
+                                  for entry in clause.entries},
+                                 key=Atom.key))
+            object.__setattr__(self, "_atoms", atoms)
+            return atoms
 
     def spans_for(self, atom: Atom) -> list[tuple[int, EvidenceSpan]]:
         """Every ``(line, span)`` behind one atom, in clause order."""
@@ -278,9 +298,15 @@ def _record_spans(record: DomainAnnotations
 
 
 def compile_record(record: DomainAnnotations) -> LogicalForm:
-    """Lower one annotation record into its canonical logical form."""
+    """Lower one annotation record into its canonical logical form.
+
+    Equal atoms share one object across the form's clauses, so each
+    distinct atom's :meth:`Atom.token` is rendered once.
+    """
     by_line: dict[int, dict[Atom, set[EvidenceSpan]]] = {}
+    shared: dict[Atom, Atom] = {}
     for line, atom, span in _record_spans(record):
+        atom = shared.setdefault(atom, atom)
         by_line.setdefault(line, {}).setdefault(atom, set()).add(span)
     clauses = tuple(
         Clause(line=line, entries=tuple(

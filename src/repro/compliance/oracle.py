@@ -2,17 +2,19 @@
 
 :class:`ReferenceEvaluator` answers every predicate query and compliance
 scan by walking the raw :class:`~repro.pipeline.records.DomainAnnotations`
-list: each record is compiled *at query time* and evaluated directly —
-no posting lists, no precomputed verdict rows, no candidate pruning, no
-result cache. It is deliberately the slowest correct implementation.
+list: each record is compiled *at query time* and each domain decided
+by :func:`~repro.compliance.predicate.holds` — no posting lists, no set
+algebra, no precomputed verdict rows, no result cache. It is
+deliberately the slowest correct implementation.
 
 The fast path (:class:`repro.serve.index.CorpusIndex` +
 :class:`repro.serve.query.QueryEngine`) must return byte-identical
 payloads for every query; ``tests/test_compliance_differential.py`` and
 ``benchmarks/bench_compliance.py`` enforce exactly that. Both paths
-share only the atom evaluator and payload-shaping helpers — everything
-the index layer adds (pruning, precomputation, caching, slicing) is
-covered by the diff.
+share only the evidence and payload-shaping helpers — everything the
+index layer adds (set algebra over postings, precomputation, caching,
+slicing) is covered by the diff; evidence order and dedup are pinned by
+``tests/golden/compliance_predicates.json`` instead.
 """
 
 from __future__ import annotations

@@ -35,7 +35,10 @@ evidence behind an outcome.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Union
 
 from repro._util.artifacts import canonical_json, content_digest
@@ -235,30 +238,95 @@ def holds(pred: Predicate, form: LogicalForm) -> bool:
     raise PredicateError(f"unknown predicate node {type(pred).__name__}")
 
 
-def _atom_spans(test: AtomTest, form: LogicalForm) -> list[dict]:
-    spans = []
-    for clause in form.clauses:
-        for entry in clause.entries:
-            if test.matches(entry.atom):
-                spans.extend(
-                    {"atom": entry.atom.to_payload(), "line": clause.line,
-                     "verbatim": span.verbatim}
-                    for span in entry.spans)
-    return spans
+#: One evidence span before it is rendered: ``(line, atom, verbatim)``.
+_Span = tuple[int, Atom, str]
+
+_ASPECT = attrgetter("aspect")
+_ASPECT_CATEGORY = attrgetter("aspect", "category")
 
 
-def _segment_spans(pred: SameSegment, form: LogicalForm) -> list[dict]:
+def matching_atoms(test: AtomTest, atoms: Sequence[Atom]) -> list[Atom]:
+    """The atoms of key-sorted ``atoms`` that ``test`` matches.
+
+    Sorted by key, the atoms a test can match form one run: its
+    aspect's, or its aspect and category's. Bisection finds the run.
+    """
+    if test.category is None:
+        key, value = _ASPECT, test.aspect
+    else:
+        key, value = _ASPECT_CATEGORY, (test.aspect, test.category)
+    run = atoms[bisect_left(atoms, value, key=key):
+                bisect_right(atoms, value, key=key)]
+    return [atom for atom in run if test.matches(atom)]
+
+
+def _atom_spans(test: AtomTest, form: LogicalForm) -> list[_Span]:
+    return [(clause.line, entry.atom, span.verbatim)
+            for clause in form.clauses
+            for entry in clause.entries if test.matches(entry.atom)
+            for span in entry.spans]
+
+
+def _segment_spans(pred: SameSegment, form: LogicalForm) -> list[_Span]:
     spans = []
     for clause in form.clauses:
         if all(any(test.matches(atom) for atom in clause.atoms())
                for test in pred.tests):
-            for entry in clause.entries:
-                if any(test.matches(entry.atom) for test in pred.tests):
-                    spans.extend(
-                        {"atom": entry.atom.to_payload(),
-                         "line": clause.line, "verbatim": span.verbatim}
-                        for span in entry.spans)
+            spans.extend((clause.line, entry.atom, span.verbatim)
+                         for entry in clause.entries
+                         if any(test.matches(entry.atom)
+                                for test in pred.tests)
+                         for span in entry.spans)
     return spans
+
+
+def _support(pred: Predicate, form: LogicalForm) -> list[_Span]:
+    # A false node has no support and a true node no refutation (by
+    # induction on the tree), so only the two nodes whose answer
+    # depends on *every* child ask :func:`holds`.
+    if isinstance(pred, AtomTest):
+        return _atom_spans(pred, form)
+    if isinstance(pred, AllOf):
+        if not holds(pred, form):
+            return []
+        return _merge(_support(t, form) for t in pred.tests)
+    if isinstance(pred, AnyOf):
+        return _merge(_support(t, form) for t in pred.tests)
+    if isinstance(pred, Negate):
+        return _refute(pred.test, form)
+    if isinstance(pred, SameSegment):
+        return _segment_spans(pred, form)
+    raise PredicateError(f"unknown predicate node {type(pred).__name__}")
+
+
+def _refute(pred: Predicate, form: LogicalForm) -> list[_Span]:
+    if isinstance(pred, (AtomTest, SameSegment)):
+        return []
+    if isinstance(pred, AllOf):
+        return _merge(_refute(t, form) for t in pred.tests)
+    if isinstance(pred, AnyOf):
+        if holds(pred, form):
+            return []
+        return _merge(_refute(t, form) for t in pred.tests)
+    if isinstance(pred, Negate):
+        return _support(pred.test, form)
+    raise PredicateError(f"unknown predicate node {type(pred).__name__}")
+
+
+def _merge(span_lists) -> list[_Span]:
+    """Deduplicate + canonically sort evidence spans.
+
+    The order is (line, canonical JSON of the atom payload, verbatim),
+    and the atom's JSON is rendered once per atom (:meth:`Atom.token`).
+    """
+    seen = {(span[0], span[1].token(), span[2]): span
+            for spans in span_lists for span in spans}
+    return [seen[key] for key in sorted(seen)]
+
+
+def _render(spans: list[_Span]) -> list[dict]:
+    return [{"atom": atom.to_payload(), "line": line, "verbatim": verbatim}
+            for line, atom, verbatim in spans]
 
 
 def support_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
@@ -268,20 +336,7 @@ def support_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
     evidence span) unless its child is false *because* positive evidence
     refutes it — in which case :func:`refute_spans` of the child speaks.
     """
-    if isinstance(pred, AtomTest):
-        return _atom_spans(pred, form) if holds(pred, form) else []
-    if isinstance(pred, AllOf):
-        if not holds(pred, form):
-            return []
-        return _merge(support_spans(t, form) for t in pred.tests)
-    if isinstance(pred, AnyOf):
-        return _merge(support_spans(t, form) for t in pred.tests
-                      if holds(t, form))
-    if isinstance(pred, Negate):
-        return refute_spans(pred.test, form) if holds(pred, form) else []
-    if isinstance(pred, SameSegment):
-        return _segment_spans(pred, form)
-    raise PredicateError(f"unknown predicate node {type(pred).__name__}")
+    return _render(_support(pred, form))
 
 
 def refute_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
@@ -291,40 +346,14 @@ def refute_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
     ``Negate`` is refuted by its child's support, a false conjunction by
     whatever refutes its failing children.
     """
-    if isinstance(pred, (AtomTest, SameSegment)):
-        return []
-    if isinstance(pred, AllOf):
-        return _merge(refute_spans(t, form) for t in pred.tests
-                      if not holds(t, form))
-    if isinstance(pred, AnyOf):
-        if holds(pred, form):
-            return []
-        return _merge(refute_spans(t, form) for t in pred.tests)
-    if isinstance(pred, Negate):
-        return support_spans(pred.test, form) if holds(pred.test, form) \
-            else []
-    raise PredicateError(f"unknown predicate node {type(pred).__name__}")
-
-
-def _merge(span_lists) -> list[dict]:
-    """Deduplicate + canonically sort evidence spans."""
-    seen: dict[str, dict] = {}
-    for spans in span_lists:
-        for span in spans:
-            seen.setdefault(canonical_json(span), span)
-    return [seen[key]
-            for key in sorted(
-                seen,
-                key=lambda k: (seen[k]["line"],
-                               canonical_json(seen[k]["atom"]),
-                               seen[k]["verbatim"]))]
+    return _render(_refute(pred, form))
 
 
 def evidence_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
     """Evidence behind whichever way the predicate evaluated."""
-    spans = support_spans(pred, form) if holds(pred, form) \
-        else refute_spans(pred, form)
-    return _merge([spans])
+    spans = _support(pred, form) if holds(pred, form) \
+        else _refute(pred, form)
+    return _render(_merge([spans]))
 
 
 __all__ = [
@@ -337,6 +366,7 @@ __all__ = [
     "SameSegment",
     "evidence_spans",
     "holds",
+    "matching_atoms",
     "parse_predicate",
     "predicate_fingerprint",
     "predicate_from_payload",

@@ -14,9 +14,11 @@ every query class resolves from dict/list lookups:
   eagerly so ``TableAggregate`` queries are O(1) payload fetches, and
 - the **compliance layer**: every record's compiled
   :class:`~repro.compliance.logic.LogicalForm`, posting lists over
-  compiled atoms (``atom token → sorted domains``) used to prune
-  predicate-query candidates, and precomputed rule-pack verdict rows so
-  a ``ComplianceScan`` is a slice, not a scan.
+  compiled atoms (``atom token → sorted domains`` and ``atom token →
+  sorted (domain, line) clauses``) that answer predicate queries by
+  exact set algebra (:meth:`CorpusIndex.satisfying_domains`), and
+  precomputed rule-pack verdict rows so a ``ComplianceScan`` is a
+  slice, not a scan.
 
 Everything is stored sorted (domains lexicographically, counts descending
 with lexicographic tie-breaks), which is what makes query results
@@ -51,6 +53,7 @@ from repro.compliance.predicate import (
     Negate,
     Predicate,
     SameSegment,
+    matching_atoms,
 )
 from repro.compliance.rules import RULE_PACKS, pack_rows
 from repro.errors import QueryError
@@ -164,6 +167,10 @@ class CorpusIndex:
     logical_forms: tuple[LogicalForm, ...] = ()
     #: atom token → sorted domains asserting that atom (posting lists).
     domains_by_atom: dict[str, list[str]] = field(default_factory=dict)
+    #: atom token → sorted (domain, line) clauses asserting that atom
+    #: (a compiled form has one clause per source line).
+    clauses_by_atom: dict[str, list[tuple[str, int]]] = \
+        field(default_factory=dict)
     #: aspect → sorted unique atoms seen in the corpus (the atom catalog
     #: wildcard atom tests are matched against).
     atoms_by_aspect: dict[str, list[Atom]] = field(default_factory=dict)
@@ -284,6 +291,8 @@ class CorpusIndex:
             key=attrgetter("domain")))
         index.domains_by_atom = _merge_sorted(
             [part.domains_by_atom for part in parts])
+        index.clauses_by_atom = _merge_sorted(
+            [part.clauses_by_atom for part in parts])
         index.atoms_by_aspect = _atom_catalog(catalog)
         index.compliance_rows = {
             name: {rule.id: {domain: row for part in parts
@@ -298,14 +307,22 @@ class CorpusIndex:
         self.logical_forms = tuple(compile_record(record)
                                    for record in self.snapshot.records)
         atom_sets: dict[str, set[str]] = {}
+        clause_lists: dict[str, list[tuple[str, int]]] = {}
         catalog: dict[str, set[Atom]] = {}
         for form in self.logical_forms:
             for atom in form.atoms():
                 atom_sets.setdefault(atom.token(), set()).add(form.domain)
                 catalog.setdefault(atom.aspect, set()).add(atom)
+            for clause in form.clauses:
+                for entry in clause.entries:
+                    clause_lists.setdefault(entry.atom.token(), []).append(
+                        (form.domain, clause.line))
         self.domains_by_atom = {token: sorted(domains)
                                 for token, domains
                                 in sorted(atom_sets.items())}
+        self.clauses_by_atom = {token: sorted(clauses)
+                                for token, clauses
+                                in sorted(clause_lists.items())}
         self.atoms_by_aspect = _atom_catalog(catalog)
         forms = list(self.logical_forms)
         self.compliance_rows = {name: pack_rows(pack, forms)
@@ -313,53 +330,53 @@ class CorpusIndex:
 
     # -- compliance lookups ----------------------------------------------
 
-    def atom_candidates(self, test: AtomTest) -> set[str]:
-        """Domains that *might* satisfy one atom test (posting lookup).
+    def _matched_atoms(self, test: AtomTest) -> list[Atom]:
+        """The catalog atoms ``test`` matches."""
+        return matching_atoms(test, self.atoms_by_aspect.get(test.aspect, []))
 
-        Fully-constrained tests are one O(1) posting fetch; wildcard
-        tests union the postings of every catalog atom they match. The
-        result is exact for a lone test — pruning only ever loosens at
-        the boolean combinators.
-        """
-        if test.category is not None and test.name is not None \
-                and test.negated is not None:
-            token = Atom(test.aspect, test.category, test.name,
-                         test.negated).token()
-            return set(self.domains_by_atom.get(token, ()))
-        matched: set[str] = set()
-        for atom in self.atoms_by_aspect.get(test.aspect, ()):
-            if test.matches(atom):
-                matched.update(self.domains_by_atom[atom.token()])
-        return matched
+    def atom_domains(self, test: AtomTest) -> set[str]:
+        """The domains asserting an atom ``test`` matches: the union of
+        the postings of the catalog atoms it matches."""
+        domains: set[str] = set()
+        for atom in self._matched_atoms(test):
+            domains.update(self.domains_by_atom[atom.token()])
+        return domains
 
-    def candidate_domains(self, pred: Predicate) -> set[str]:
-        """A superset of the domains satisfying ``pred``.
+    def satisfying_domains(self, pred: Predicate) -> set[str]:
+        """Exactly the domains whose compiled form satisfies ``pred``.
 
-        Set algebra over the atom posting lists: intersection for
-        conjunctions (including same-segment, whose co-occurrence
-        constraint only narrows further), union for disjunctions, and
-        the full corpus under negation (absence is invisible to posting
-        lists). Every candidate is then *verified* against its compiled
-        form, so pruning can never change an answer — only shrink the
-        verification set.
+        Set algebra over the postings, with the semantics of
+        :func:`repro.compliance.predicate.holds`: an atom test is
+        :meth:`atom_domains`, all-of intersects, any-of unites, not is
+        the complement over ``by_domain``, and same-segment intersects
+        the (domain, line) clause postings of its tests, so its atoms
+        must share one clause.
         """
         if isinstance(pred, AtomTest):
-            return self.atom_candidates(pred)
-        if isinstance(pred, (AllOf, SameSegment)):
-            candidates: set[str] | None = None
+            return self.atom_domains(pred)
+        if isinstance(pred, AllOf):
+            domains = set(self.by_domain)
             for test in pred.tests:
-                pool = self.candidate_domains(test)
-                candidates = pool if candidates is None \
-                    else candidates & pool
-            return candidates if candidates is not None \
-                else set(self.by_domain)
+                domains &= self.satisfying_domains(test)
+            return domains
         if isinstance(pred, AnyOf):
-            matched: set[str] = set()
+            domains = set()
             for test in pred.tests:
-                matched |= self.candidate_domains(test)
-            return matched
+                domains |= self.satisfying_domains(test)
+            return domains
         if isinstance(pred, Negate):
-            return set(self.by_domain)
+            return set(self.by_domain) - self.satisfying_domains(pred.test)
+        if isinstance(pred, SameSegment):
+            if not pred.tests:  # an empty conjunction: any clause holds it
+                return {form.domain for form in self.logical_forms
+                        if form.clauses}
+            clauses: set[tuple[str, int]] | None = None
+            for test in pred.tests:
+                pool = set(chain.from_iterable(
+                    self.clauses_by_atom[atom.token()]
+                    for atom in self._matched_atoms(test)))
+                clauses = pool if clauses is None else clauses & pool
+            return {domain for domain, _ in clauses}
         raise QueryError(
             f"unknown predicate node {type(pred).__name__}")
 

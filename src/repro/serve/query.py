@@ -15,8 +15,9 @@ surface):
 - :class:`TableAggregate` — the precomputed Table-1/2a/2b/3 payloads and
   the corpus summary.
 - :class:`PredicateQuery` — domains whose compiled logical form
-  satisfies a :mod:`repro.compliance.predicate` expression (candidates
-  pruned via atom posting lists, then verified form-by-form).
+  satisfies a :mod:`repro.compliance.predicate` expression, answered
+  exactly by set algebra over the index's atom and clause postings
+  (:meth:`~repro.serve.index.CorpusIndex.satisfying_domains`).
 - :class:`ComplianceScan` — GDPR/CCPA-style rule-pack verdicts
   (``satisfied``/``violated``/``unknown`` with evidence spans), sliced
   from precomputed verdict rows by pack/rule/sector.
@@ -41,7 +42,6 @@ from repro._util.artifacts import canonical_json, content_digest
 from repro.compliance.oracle import predicate_answer_payload
 from repro.compliance.predicate import (
     Predicate,
-    holds,
     parse_predicate,
     predicate_to_json,
 )
@@ -157,8 +157,13 @@ def query_kind(query: Query) -> str:
         raise QueryError(f"unknown query type {type(query).__name__}")
 
 
-def validate_query(query: Query) -> None:
-    """Reject malformed queries before they reach the execution path."""
+def validate_query(query: Query) -> Predicate | None:
+    """Reject malformed queries before they reach the execution path.
+
+    A :class:`PredicateQuery` is validated by parsing it; its parsed
+    predicate is returned so execution need not parse it again. Every
+    other kind returns ``None``.
+    """
     kind = query_kind(query)
     if isinstance(query, (FacetFilter, TopDescriptors)) \
             and query.facet not in FACETS:
@@ -181,7 +186,7 @@ def validate_query(query: Query) -> None:
         raise QueryError("sector: empty sector name")
     if isinstance(query, PredicateQuery):
         try:
-            parse_predicate(query.predicate)
+            return parse_predicate(query.predicate)
         except PredicateError as exc:
             raise QueryError(f"predicate: {exc}")
     if isinstance(query, ComplianceScan):
@@ -194,6 +199,7 @@ def validate_query(query: Query) -> None:
                 f"compliance: pack {query.pack!r} has no rule "
                 f"{query.rule!r}; expected one of "
                 f"{get_pack(query.pack).rule_ids()}")
+    return None
 
 
 def query_payload(query: Query) -> dict:
@@ -251,10 +257,11 @@ class QueryEngine:
         self.index = index
 
     def execute(self, query: Query) -> QueryResult:
-        validate_query(query)
+        pred = validate_query(query)
         kind = query_kind(query)
         handler = getattr(self, "_run_" + kind.replace("-", "_"))
-        return QueryResult(kind=kind, payload=handler(query))
+        payload = handler(query) if pred is None else handler(query, pred)
+        return QueryResult(kind=kind, payload=payload)
 
     # -- handlers --------------------------------------------------------
 
@@ -341,14 +348,10 @@ class QueryEngine:
         return {"table": query.table,
                 "data": self.index.aggregates[query.table]}
 
-    def _run_predicate(self, query: PredicateQuery) -> dict:
-        pred = parse_predicate(query.predicate)
-        candidates = self.index.candidate_domains(pred)
-        # Candidate pruning only shrinks the scan; every candidate is
-        # still verified against its compiled form, so the answer is
-        # byte-identical to the brute-force oracle's.
+    def _run_predicate(self, query: PredicateQuery, pred: Predicate) -> dict:
+        domains = self.index.satisfying_domains(pred)
         matched = [form for form in self.index.logical_forms
-                   if form.domain in candidates and holds(pred, form)]
+                   if form.domain in domains]
         return predicate_answer_payload(
             pred, matched, len(self.index.logical_forms),
             evidence=query.evidence)

@@ -25,9 +25,11 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._util.artifacts import canonical_json
 from repro.compliance import (
     AllOf,
     AnyOf,
+    Atom,
     AtomTest,
     LogicalForm,
     Negate,
@@ -35,6 +37,7 @@ from repro.compliance import (
     compile_corpus,
     compile_record,
     holds,
+    matching_atoms,
     parse_predicate,
     predicate_from_payload,
     predicate_payload,
@@ -224,6 +227,38 @@ def test_tampered_serialization_fails_verification(record):
     payload["sector"] = payload["sector"] + "X"
     with pytest.raises(ComplianceError, match="fingerprint"):
         LogicalForm.from_payload(payload)
+
+
+@given(record=records())
+def test_memoized_atoms_and_tokens_leave_the_form_unchanged(record):
+    """``atoms()`` and ``token()`` are computed once and kept on the
+    frozen objects; the memo must never reach equality, hashing,
+    payloads or fingerprints."""
+    form = compile_record(record)
+    atoms = form.atoms()
+    tokens = [atom.token() for atom in atoms]
+    assert form.atoms() is atoms
+    assert [atom.token() for atom in atoms] == tokens
+    fresh = compile_record(record)
+    assert form == fresh and fresh == form
+    assert hash(form) == hash(fresh)
+    assert form.to_json() == fresh.to_json()
+    assert form.fingerprint == fresh.fingerprint
+    assert LogicalForm.from_json(form.to_json()) == form
+    assert atoms == tuple(sorted(
+        {atom for clause in form.clauses for atom in clause.atoms()},
+        key=Atom.key))
+    for atom, token in zip(atoms, tokens):
+        twin = Atom.from_payload(atom.to_payload())
+        assert twin == atom and hash(twin) == hash(atom)
+        assert token == canonical_json(atom.to_payload()) == twin.token()
+
+
+@given(test=atom_tests(), record=records())
+def test_matching_atoms_equals_a_full_scan(test, record):
+    atoms = compile_record(record).atoms()
+    assert matching_atoms(test, atoms) == \
+        [atom for atom in atoms if test.matches(atom)]
 
 
 # -- property 3: mutation sensitivity ------------------------------------

@@ -1,12 +1,16 @@
 """Differential harness: indexed compliance serving vs brute-force oracle.
 
-The indexed path (posting-list pruning, precomputed verdict rows, the
-server's hot-result cache) must be *byte-identical* to
+The indexed path (set algebra over posting lists, precomputed verdict
+rows, the server's hot-result cache) must be *byte-identical* to
 :class:`repro.compliance.ReferenceEvaluator`, which recompiles every
 record on every query. Seeded random predicate queries and every
 pack/rule/sector scan are pushed through a live
 :class:`AnnotationServer` twice — cold cache, then warm — and each
 response body is compared against the oracle's canonical rendering.
+The set-algebra evaluator is also checked directly: its domain set must
+equal the brute-force ``holds`` set, on a single index and on a sharded
+snapshot's merged index, for the seeded predicates plus hand-written
+corner cases.
 
 The slow lane additionally rebuilds the corpus through serial and
 process-parallel pipeline executions and checks both snapshots serve
@@ -15,13 +19,23 @@ the same bytes.
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from repro._util.artifacts import canonical_json
-from repro.compliance import ReferenceEvaluator, random_predicate
+from repro.compliance import (
+    AllOf,
+    AnyOf,
+    Atom,
+    AtomTest,
+    Negate,
+    ReferenceEvaluator,
+    SameSegment,
+    random_predicate,
+)
 from repro.pipeline.records import read_jsonl
 from repro.serve import (
     AnnotationServer,
@@ -122,24 +136,86 @@ def test_every_scan_slice_matches_oracle_cold_and_warm(golden_snapshot,
                         f"scan {pack_name}/{rule}/{sector}")
 
 
-def test_pruning_never_drops_a_match(golden_snapshot, oracle, atom_pool):
-    """Candidate pruning is a superset filter: verify directly against an
-    engine (no server cache in the loop)."""
-    from repro.compliance import holds
-    from repro.serve import QueryEngine
+#: An atom test no policy satisfies.
+MATCHES_NOTHING = AtomTest(aspect="types", category="No Such Category",
+                           negated=None)
 
-    index = CorpusIndex.build(golden_snapshot)
-    engine = QueryEngine(index)
+
+def _exact(atom: Atom) -> AtomTest:
+    return AtomTest(aspect=atom.aspect, category=atom.category,
+                    name=atom.name, negated=atom.negated)
+
+
+def _apart(forms):
+    """``(domain, a, b)``: two atoms one domain asserts, never on a shared
+    line of that domain."""
+    for form in forms:
+        lines: dict[Atom, set[int]] = {}
+        for clause in form.clauses:
+            for atom in clause.atoms():
+                lines.setdefault(atom, set()).add(clause.line)
+        for a, b in itertools.combinations(form.atoms(), 2):
+            if not lines[a] & lines[b]:
+                return form.domain, a, b
+    raise AssertionError("no domain asserts two atoms on distinct lines")
+
+
+def hand_written_predicates(forms) -> list:
+    """Edge cases of the set algebra a seeded sweep may not draw."""
+    _, a, b = _apart(forms)
+    some = _exact(a)
+    return [
+        Negate(MATCHES_NOTHING),
+        SameSegment((_exact(a), _exact(b))),
+        Negate(Negate(some)),
+        AllOf((some, MATCHES_NOTHING)),
+        AnyOf((some, MATCHES_NOTHING)),
+    ]
+
+
+def test_pruning_never_drops_a_match(golden_snapshot, atom_pool):
+    """The set-algebra evaluator is exact, not a superset: over a single
+    index and over the merged index of a 4-shard snapshot, its domains
+    are exactly those whose compiled form ``holds`` the predicate."""
+    from repro.compliance import holds
+    from repro.serve import QueryEngine, ShardedEngine, partition_snapshot
+
+    single = CorpusIndex.build(golden_snapshot)
+    merged = ShardedEngine(partition_snapshot(golden_snapshot, 4)).index
     rng = random.Random(987654)
-    for i in range(N_PREDICATES):
-        pred = random_predicate(rng, atom_pool)
-        candidates = index.candidate_domains(pred)
-        brute = {form.domain for form in index.logical_forms
-                 if holds(pred, form)}
-        assert brute <= candidates, (
-            f"predicate #{i}: pruning dropped {sorted(brute - candidates)}")
-        result = engine.execute(PredicateQuery.from_predicate(pred))
-        assert result.payload["domains"] == sorted(brute)
+    preds = [random_predicate(rng, atom_pool) for _ in range(N_PREDICATES)]
+    preds += hand_written_predicates(single.logical_forms)
+    for label, index in (("single", single), ("sharded", merged)):
+        engine = QueryEngine(index)
+        for i, pred in enumerate(preds):
+            brute = {form.domain for form in index.logical_forms
+                     if holds(pred, form)}
+            exact = index.satisfying_domains(pred)
+            assert exact == brute, (
+                f"{label} predicate #{i}: extra {sorted(exact - brute)}, "
+                f"missing {sorted(brute - exact)}")
+            result = engine.execute(PredicateQuery.from_predicate(pred))
+            assert result.payload["domains"] == sorted(brute)
+
+
+def test_hand_written_cases_test_what_they_claim(golden_snapshot):
+    """Each hand-written case reaches the corner it is named for."""
+    index = CorpusIndex.build(golden_snapshot)
+    forms = index.logical_forms
+    negated_nothing, apart, double, all_of, any_of = \
+        hand_written_predicates(forms)
+    bare = {form.domain for form in forms if not form.clauses}
+    assert bare, "golden corpus has no domain without clauses"
+    assert index.satisfying_domains(negated_nothing) == set(index.by_domain)
+    domain, _, _ = _apart(forms)
+    assert domain in index.satisfying_domains(AllOf(apart.tests))
+    assert domain not in index.satisfying_domains(apart)
+    some = double.test.test
+    assert index.satisfying_domains(double) == \
+        index.satisfying_domains(some) != set()
+    assert index.satisfying_domains(all_of) == set()
+    assert index.satisfying_domains(any_of) == \
+        index.satisfying_domains(some)
 
 
 def test_shuffled_record_order_serves_identical_bytes(golden_records,

@@ -3,8 +3,11 @@
 ``tests/golden/compliance_forms.json`` pins every golden domain's
 compiled :class:`LogicalForm` (fingerprint included);
 ``tests/golden/compliance_verdicts.json`` pins the full GDPR and CCPA
-scan payloads as served. Bless an *intentional* compiler or rule change
-with::
+scan payloads as served; ``tests/golden/compliance_predicates.json``
+pins the served bytes of seeded predicate answers, with and without
+evidence. The engine and the oracle share the evidence helpers, so only
+this file catches a change to evidence order or dedup. Bless an
+*intentional* compiler, rule or evidence change with::
 
     PYTHONPATH=src python -m pytest tests/test_compliance_golden.py \
         --update-golden
@@ -17,22 +20,41 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from repro._util.artifacts import canonical_json
 from repro.compliance import (
+    OPT_OUT_CHOICE_LABELS,
+    AllOf,
+    AnyOf,
+    Atom,
+    AtomTest,
+    Negate,
     ReferenceEvaluator,
     compile_corpus,
     compile_record,
+    random_predicate,
 )
 from repro.pipeline.records import read_jsonl
-from repro.serve import AnnotationServer, ComplianceScan, build_snapshot
+from repro.serve import (
+    AnnotationServer,
+    ComplianceScan,
+    PredicateQuery,
+    build_snapshot,
+)
 from repro.serve.index import COMPLIANCE_PACKS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FORMS = GOLDEN_DIR / "compliance_forms.json"
 GOLDEN_VERDICTS = GOLDEN_DIR / "compliance_verdicts.json"
+GOLDEN_PREDICATES = GOLDEN_DIR / "compliance_predicates.json"
+
+#: Seed and size of the random predicate set the predicate golden pins.
+PREDICATE_SEED = 20241018
+N_GOLDEN_PREDICATES = 40
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +113,47 @@ def golden_verdicts(request, served_scans):
     return json.loads(GOLDEN_VERDICTS.read_text(encoding="utf-8"))
 
 
+def golden_predicates(forms) -> list:
+    """The pinned predicate set: seeded random trees over the corpus's
+    atoms, plus the opt-out example of :mod:`repro.compliance.predicate`."""
+    pool = sorted({atom for form in forms for atom in form.atoms()},
+                  key=Atom.key)
+    rng = random.Random(PREDICATE_SEED)
+    preds = [random_predicate(rng, pool) for _ in range(N_GOLDEN_PREDICATES)]
+    preds.append(AllOf((
+        AtomTest(aspect="purposes", category="Data sharing"),
+        AtomTest(aspect="purposes", name="targeted advertising"),
+        Negate(AnyOf(tuple(
+            AtomTest(aspect="rights", category="User choices", name=label)
+            for label in OPT_OUT_CHOICE_LABELS))),
+    )))
+    return preds
+
+
+@pytest.fixture(scope="module")
+def golden_predicate_answers(request, golden_records, compiled):
+    if request.config.getoption("--update-golden"):
+        queries = [PredicateQuery.from_predicate(pred, evidence=evidence)
+                   for pred in golden_predicates(compiled.forms)
+                   for evidence in (False, True)]
+        snapshot = build_snapshot(list(golden_records), source="golden")
+        with AnnotationServer(snapshot) as server:
+            responses = [server.request(query) for query in queries]
+        assert all(r.ok for r in responses)
+        answers = [{"predicate": query.predicate,
+                    "evidence": query.evidence,
+                    "body": json.loads(response.body)}
+                   for query, response in zip(queries, responses)]
+        GOLDEN_PREDICATES.write_text(
+            json.dumps({"seed": PREDICATE_SEED, "answers": answers},
+                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if not GOLDEN_PREDICATES.exists():
+        pytest.fail("tests/golden/compliance_predicates.json missing; "
+                    "regenerate with `pytest "
+                    "tests/test_compliance_golden.py --update-golden`")
+    return json.loads(GOLDEN_PREDICATES.read_text(encoding="utf-8"))
+
+
 def test_corpus_fingerprint_matches_golden(compiled, golden_forms):
     assert compiled.fingerprint == golden_forms["corpus_fingerprint"]
 
@@ -108,6 +171,23 @@ def test_served_scans_match_golden(served_scans, golden_verdicts):
         assert served_scans[name] == golden_verdicts["scans"][name], (
             f"served {name} scan drifted from "
             f"tests/golden/compliance_verdicts.json")
+
+
+def test_served_predicate_answers_match_golden(golden_records,
+                                              golden_predicate_answers):
+    """Every pinned predicate answer is served byte for byte: domain
+    lists, evidence spans, their order and their dedup."""
+    answers = golden_predicate_answers["answers"]
+    assert len(answers) == 2 * (N_GOLDEN_PREDICATES + 1)
+    snapshot = build_snapshot(list(golden_records), source="golden")
+    with AnnotationServer(snapshot) as server:
+        for i, entry in enumerate(answers):
+            response = server.request(PredicateQuery(
+                predicate=entry["predicate"], evidence=entry["evidence"]))
+            assert response.ok, f"predicate #{i}: {response.body}"
+            assert response.body == canonical_json(entry["body"]), (
+                f"predicate #{i} evidence={entry['evidence']} drifted from "
+                f"tests/golden/compliance_predicates.json")
 
 
 def test_oracle_agrees_with_golden_verdicts(golden_records, golden_verdicts):
