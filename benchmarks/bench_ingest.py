@@ -52,7 +52,6 @@ from repro.ingest import (
     refresh_differential,
     run_swap_load,
     touched_shards,
-    write_sharded_refresh,
 )
 from repro.pipeline import PipelineCache, PipelineOptions, run_pipeline
 from repro.serve import (

@@ -285,11 +285,11 @@ def cmd_serve_snapshot(args) -> int:
         snapshot = snapshot_from_result(result, provenance={
             "corpus_seed": args.seed, "corpus_fraction": args.fraction})
     if args.shards > 1:
-        sharded = partition_snapshot(snapshot, args.shards)
-        path = write_sharded_snapshot(sharded, args.out)
+        write_sharded_snapshot(partition_snapshot(snapshot, args.shards),
+                               args.out)
         print(f"snapshot: {snapshot.domain_count()} domains across "
               f"{args.shards} shards, fingerprint "
-              f"{snapshot.fingerprint[:16]}…, written to {path}/")
+              f"{snapshot.fingerprint[:16]}…, written to {args.out}/")
     else:
         path = write_snapshot(snapshot, args.out)
         print(f"snapshot: {snapshot.domain_count()} domains, "
@@ -513,7 +513,6 @@ def cmd_ingest(args) -> int:
         apply_patches,
         apply_patches_sharded,
         refresh_differential,
-        write_sharded_refresh,
     )
     from repro.serve import (
         build_snapshot,
@@ -575,10 +574,9 @@ def cmd_ingest(args) -> int:
             if args.shards > 1:
                 result = apply_patches_sharded(serving, patches)
                 serving = result.sharded
-                rewritten = write_sharded_refresh(serving, args.out)
+                written = write_sharded_snapshot(serving, args.out)
                 return (f"{len(result.touched)}/{len(serving.shards)} "
-                        f"shards rebuilt, {len(rewritten)} files "
-                        f"rewritten")
+                        f"shards rebuilt, {len(written)} files written")
             serving = apply_patches(serving, patches)
             write_snapshot(serving, args.out)
             return "snapshot rewritten"
@@ -690,8 +688,9 @@ def cmd_chaos(args) -> int:
     snapshot = _load_snapshot_arg(args.snapshot)
     shards = args.shards
     if isinstance(snapshot, ShardedSnapshot):
-        # run_chaos re-partitions internally; a sharded directory implies
-        # its own shard count unless --shards overrides it.
+        # The server re-partitions the merged snapshot; a sharded
+        # directory implies its own shard count unless --shards overrides
+        # it.
         if shards == 1:
             shards = snapshot.shard_count
         snapshot = merged_snapshot(snapshot)
@@ -707,13 +706,13 @@ def cmd_chaos(args) -> int:
     except ChaosError as exc:
         raise CLIUsageError(str(exc))
     config = ServerConfig(workers=args.serve_workers,
-                          queue_depth=args.queue_depth)
+                          queue_depth=args.queue_depth, shards=shards)
     report = run_chaos(
         snapshot, plan,
         workload_config=WorkloadConfig(seed=args.load_seed,
                                        requests=args.requests),
         server_config=config, clients=args.clients,
-        deadline_s=args.deadline, shards=shards)
+        deadline_s=args.deadline)
     payload = {
         "plan": plan.to_payload(),
         "fault_classes": list(plan.classes()),
@@ -953,8 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "domains (default: all)")
     ingest_parser.add_argument("--shards", type=_positive_int, default=1,
                                help="serve from N domain-hash shards; "
-                               "refresh rewrites only touched shard "
-                               "files (default: 1)")
+                               "a refresh writes only the touched "
+                               "shards' files (default: 1)")
     ingest_parser.add_argument("--compact-every", type=int, default=0,
                                metavar="N",
                                help="prune superseded cache checkpoints "

@@ -357,8 +357,3 @@ def _weighted_choice(rng, items, weights):
         if pick <= acc:
             return item
     return items[-1]  # pragma: no cover - float edge
-
-
-def _safe_inv_cdf(p: float) -> float:
-    p = min(max(p, 1e-6), 1.0 - 1e-6)
-    return _NORMAL.inv_cdf(p)

@@ -38,10 +38,6 @@ class RobotsDisallowedError(FetchError):
         super().__init__(url, "robots-disallowed", f"robots.txt disallows {url!r}")
 
 
-class HtmlParseError(ReproError):
-    """Raised when HTML is too malformed for the parser to recover."""
-
-
 class TaxonomyError(ReproError):
     """Raised on inconsistent taxonomy definitions or unknown labels."""
 
@@ -60,10 +56,6 @@ class TaskOutputError(ChatModelError):
     def __init__(self, message: str, raw_output: str = ""):
         super().__init__(message)
         self.raw_output = raw_output
-
-
-class PipelineError(ReproError):
-    """Raised on unrecoverable pipeline orchestration failures."""
 
 
 class CorpusError(ReproError):

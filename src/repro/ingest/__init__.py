@@ -29,7 +29,6 @@ from repro.ingest.refresh import (
     refresh_differential,
     touched_shards,
     verify_sharded,
-    write_sharded_refresh,
 )
 from repro.ingest.scheduler import (
     DomainState,
@@ -58,5 +57,4 @@ __all__ = [
     "touch_domain",
     "touched_shards",
     "verify_sharded",
-    "write_sharded_refresh",
 ]

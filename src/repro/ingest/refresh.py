@@ -13,20 +13,20 @@ applies it to a serving snapshot without rebuilding the world:
   objects are reused identically (the same Python objects, so a
   downstream :class:`~repro.serve.shard.ShardedEngine` built with
   ``reuse_from`` skips their index builds too). The global fingerprint
-  is recomputed over the merged stream and re-verified atomically:
-  :func:`verify_sharded` re-derives every shard fingerprint, the routing
-  invariant, and the global fingerprint before anything is served or
-  written.
-- :func:`write_sharded_refresh` is the disk half: it rewrites only the
-  shard files whose fingerprint moved (consulting the directory's
-  current manifest), then replaces the manifest last — the same
-  manifest-last atomicity as a full write, at delta cost.
+  is recomputed over the merged stream and re-verified before anything
+  is served or written: :func:`~repro.serve.shard.verify_sharded`, the
+  same verifier a load runs, re-derives the touched shards'
+  fingerprints, the routing invariant, and the global fingerprint. The
+  disk half is :func:`~repro.serve.shard.write_sharded_snapshot`: shard
+  files are content-named, so it writes only the touched shards' files
+  and commits by replacing the manifest.
 - :func:`refresh_differential` is the proof harness: the incrementally
   refreshed snapshot must fingerprint-equal a from-scratch
   ``snapshot_from_cache`` rebuild over the same warm cache.
 
 Untouched shards keep the provenance they were originally cut with
-(including a now-stale ``corpus_fingerprint`` note); provenance is
+(including a now-stale ``corpus_fingerprint`` note), and a shard file
+already on disk is not rewritten for a provenance change; provenance is
 free-form context, never verified content — the manifest carries the
 authoritative global fingerprint.
 """
@@ -34,27 +34,18 @@ authoritative global fingerprint.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
 from operator import attrgetter
-from pathlib import Path
 
-from repro._util.artifacts import write_json_atomic
-from repro.errors import IngestError, SnapshotError
+from repro.errors import IngestError
 from repro.pipeline.records import DomainAnnotations
-from repro.serve.shard import (
-    MANIFEST_NAME,
-    SHARDED_SCHEMA_VERSION,
-    ShardedSnapshot,
-    _shard_filename,
-    shard_for_domain,
-)
+from repro.serve.shard import ShardedSnapshot, shard_for_domain, \
+    verify_sharded
 from repro.serve.snapshot import (
     CorpusSnapshot,
     build_snapshot,
     snapshot_fingerprint,
     snapshot_from_cache,
-    write_snapshot,
 )
 
 _DOMAIN_KEY = attrgetter("domain")
@@ -182,98 +173,11 @@ def apply_patches_sharded(sharded: ShardedSnapshot,
                                 source=sharded.source,
                                 provenance=dict(sharded.provenance))
     # Untouched shards were verified when they were first built/loaded
-    # and are reused as the same objects — scoping the re-verification
-    # to touched shards keeps the refresh cost proportional to the
-    # delta. The global fingerprint is always re-derived over the full
-    # merged stream.
+    # and are reused as the same objects, so only the touched shards'
+    # fingerprints are re-derived; routing and the global fingerprint
+    # are always checked over every shard.
     verify_sharded(refreshed, shards=sorted(routed))
     return RefreshResult(sharded=refreshed, touched=tuple(sorted(routed)))
-
-
-def verify_sharded(sharded: ShardedSnapshot, *,
-                   shards=None) -> None:
-    """Re-verify an in-memory shard set: fingerprints + routing.
-
-    The in-memory analogue of ``load_sharded_snapshot``'s verification
-    layers, with the same machine-readable reason codes: every shard's
-    recomputed fingerprint, every domain's hash placement, and the
-    global fingerprint over the merged stream. ``shards`` limits the
-    per-shard checks to the given indexes (the refresh path passes its
-    touched set); the global fingerprint check always covers everything.
-    """
-    count = len(sharded.shards)
-    selected = (range(count) if shards is None
-                else sorted(set(shards)))
-    for index in selected:
-        shard = sharded.shards[index]
-        actual = snapshot_fingerprint(list(shard.records))
-        if actual != shard.fingerprint:
-            raise SnapshotError(
-                f"shard {index} fingerprints {actual[:12]}…, carries "
-                f"{shard.fingerprint[:12]}…",
-                reason="shard-fingerprint-mismatch")
-        for record in shard.records:
-            assigned = shard_for_domain(record.domain, count)
-            if assigned != index:
-                raise SnapshotError(
-                    f"domain {record.domain!r} sits in shard {index} but "
-                    f"hashes to shard {assigned} of {count}",
-                    reason="shard-misrouted")
-    actual = snapshot_fingerprint(sharded.records())
-    if actual != sharded.fingerprint:
-        raise SnapshotError(
-            f"sharded snapshot carries global fingerprint "
-            f"{sharded.fingerprint[:12]}… but its merged records "
-            f"fingerprint {actual[:12]}…", reason="fingerprint-mismatch")
-
-
-def write_sharded_refresh(sharded: ShardedSnapshot,
-                          directory: str | Path) -> list[str]:
-    """Write a refreshed shard set, rewriting only changed shard files.
-
-    Consults the directory's current manifest: a shard whose fingerprint
-    matches the manifest entry (and whose file exists) is left untouched
-    on disk. The manifest is replaced last — readers see either the old
-    complete set or the new one, never a mix, because unchanged files are
-    valid under both manifests. Returns the shard filenames rewritten.
-    """
-    directory = Path(directory)
-    previous: dict[str, str] = {}
-    try:
-        manifest = json.loads(
-            (directory / MANIFEST_NAME).read_text(encoding="utf-8"))
-        if isinstance(manifest, dict) \
-                and manifest.get("schema") == SHARDED_SCHEMA_VERSION:
-            for entry in manifest.get("files") or []:
-                if isinstance(entry, dict) \
-                        and isinstance(entry.get("file"), str):
-                    previous[entry["file"]] = entry.get("fingerprint")
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        pass  # no (or unreadable) manifest: every shard gets written
-
-    directory.mkdir(parents=True, exist_ok=True)
-    rewritten: list[str] = []
-    files = []
-    for index, shard in enumerate(sharded.shards):
-        name = _shard_filename(index)
-        if previous.get(name) != shard.fingerprint \
-                or not (directory / name).exists():
-            write_snapshot(shard, directory / name)
-            rewritten.append(name)
-        files.append({"file": name, "fingerprint": shard.fingerprint,
-                      "domains": shard.domain_count()})
-    manifest = {
-        "schema": SHARDED_SCHEMA_VERSION,
-        "fingerprint": sharded.fingerprint,
-        "shards": len(sharded.shards),
-        "source": sharded.source,
-        "provenance": sharded.provenance,
-        "domains": sharded.domain_count(),
-        "files": files,
-    }
-    write_json_atomic(directory / MANIFEST_NAME, manifest, indent=None,
-                      sort_keys=True)
-    return rewritten
 
 
 def refresh_differential(corpus, options, cache, refreshed, *,
@@ -309,5 +213,4 @@ __all__ = [
     "refresh_differential",
     "touched_shards",
     "verify_sharded",
-    "write_sharded_refresh",
 ]

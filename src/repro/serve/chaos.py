@@ -32,9 +32,9 @@ seeded chaos harness:
      oracle-identical again (the pool healed, poisoned entries were
      rejected, the clock skew only aged the cache).
 
-  With ``shards > 1`` the faulty server serves a sharded snapshot while
-  the oracle stays a single-index engine, so the same byte diff also
-  checks the merged shard index under fire.
+  With ``ServerConfig.shards > 1`` the faulty server serves a sharded
+  snapshot while the oracle stays a single-index engine, so the same
+  byte diff also checks the merged shard index under fire.
 
 The reusable blueprint — deterministic fault schedule + oracle diffing +
 invariant ledger — is exactly the shape a training/inference serving
@@ -48,7 +48,7 @@ import hashlib
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.artifacts import content_digest
@@ -416,8 +416,7 @@ def _oracle_diff(outcomes: list[Outcome],
 def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
               workload_config: WorkloadConfig | None = None,
               server_config: ServerConfig | None = None,
-              clients: int = 4, deadline_s: float = 30.0,
-              shards: int = 1) -> ChaosReport:
+              clients: int = 4, deadline_s: float = 30.0) -> ChaosReport:
     """Run one workload under a fault plan and check the three invariants.
 
     The oracle-diff protocol: every workload request's fault-free answer
@@ -432,17 +431,15 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
     recompute, or evicted — never served corrupt) and the whole workload
     is replayed sequentially, which must be oracle-identical again.
 
-    ``shards > 1`` runs the same protocol against a sharded server while
-    the oracle stays a *single-index* engine over the unpartitioned
-    snapshot — so the diff simultaneously checks fault containment and
-    the merged shard index's byte-identity under fire.
+    A ``server_config`` with ``shards > 1`` runs the same protocol
+    against a sharded server while the oracle stays a *single-index*
+    engine over the unpartitioned snapshot — so the diff simultaneously
+    checks fault containment and the merged shard index's byte-identity
+    under fire.
     """
     workload_config = workload_config or WorkloadConfig(seed=plan.seed,
                                                         requests=400)
     injector = ChaosInjector(plan)
-    if shards > 1:
-        server_config = replace(server_config or ServerConfig(),
-                                shards=shards)
     server = AnnotationServer(snapshot, server_config,
                               clock=injector.clock, fault_injector=injector)
     injector.bind(server)

@@ -25,9 +25,12 @@ surface):
 Every query is a frozen dataclass with a canonical dict rendering
 (:func:`query_payload`); :func:`query_fingerprint` hashes that rendering,
 giving the server's hot-result cache a key that is independent of how the
-query object was constructed. Execution is pure and deterministic: the
-same query against the same snapshot always yields the same
-:class:`QueryResult`, whose :meth:`QueryResult.to_json` is byte-stable.
+query object was constructed. The fingerprint and a predicate's parse
+are memoized on the query object, outside its fields, so a request
+parses and hashes its query once however many layers ask. Execution is
+pure and deterministic: the same query against the same snapshot always
+yields the same :class:`QueryResult`, whose :meth:`QueryResult.to_json`
+is byte-stable.
 :class:`QueryEngine` is the only executor: a sharded snapshot is served
 by the same handlers over the merge of its shard indexes.
 """
@@ -35,7 +38,7 @@ by the same handlers over the merge of its shard indexes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from repro._util.artifacts import canonical_json, content_digest
@@ -122,6 +125,18 @@ class PredicateQuery:
                        evidence: bool = False) -> "PredicateQuery":
         return cls(predicate=predicate_to_json(pred), evidence=evidence)
 
+    def parsed(self) -> Predicate:
+        """The predicate AST, parsed once per query object."""
+        try:
+            return self._parsed
+        except AttributeError:
+            try:
+                pred = parse_predicate(self.predicate)
+            except PredicateError as exc:
+                raise QueryError(f"predicate: {exc}")
+            object.__setattr__(self, "_parsed", pred)
+            return pred
+
 
 @dataclass(frozen=True)
 class ComplianceScan:
@@ -185,10 +200,7 @@ def validate_query(query: Query) -> Predicate | None:
     if isinstance(query, SectorAggregate) and not query.sector:
         raise QueryError("sector: empty sector name")
     if isinstance(query, PredicateQuery):
-        try:
-            return parse_predicate(query.predicate)
-        except PredicateError as exc:
-            raise QueryError(f"predicate: {exc}")
+        return query.parsed()
     if isinstance(query, ComplianceScan):
         if query.pack not in COMPLIANCE_PACKS:
             raise QueryError(f"compliance: unknown pack {query.pack!r}; "
@@ -203,30 +215,32 @@ def validate_query(query: Query) -> Predicate | None:
 
 
 def query_payload(query: Query) -> dict:
-    """Canonical dict rendering of a query (``None`` fields dropped)."""
+    """Canonical dict rendering of a query's fields (``None`` dropped)."""
     payload = {"kind": query_kind(query)}
-    for name, value in vars(query).items():
+    for spec in fields(query):
+        value = getattr(query, spec.name)
         if value is not None:
-            payload[name] = value
+            payload[spec.name] = value
     if isinstance(query, PredicateQuery):
         # Normalise the predicate string through a parse/re-render pass so
         # formatting variants of the same AST share one cache key.
-        try:
-            payload["predicate"] = predicate_to_json(
-                parse_predicate(query.predicate))
-        except PredicateError as exc:
-            raise QueryError(f"predicate: {exc}")
+        payload["predicate"] = predicate_to_json(query.parsed())
     return payload
 
 
 def query_fingerprint(query: Query) -> str:
-    """Content-addressed cache key for a query.
+    """Content-addressed cache key for a query, computed once per object.
 
     Two structurally equal queries always fingerprint identically, and
     any parameter change moves the key — the same contract the pipeline
     cache keys obey.
     """
-    return content_digest(query_payload(query))
+    try:
+        return query._fingerprint
+    except AttributeError:
+        fingerprint = content_digest(query_payload(query))
+        object.__setattr__(query, "_fingerprint", fingerprint)
+        return fingerprint
 
 
 @dataclass(frozen=True)

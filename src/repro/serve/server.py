@@ -11,11 +11,12 @@ into a bounded-concurrency service:
   standard load-shedding posture for a latency-sensitive read path:
   fail fast at the front door rather than queue into timeout territory.
 - **Hot-result cache.** A TTL+LRU cache keyed by the canonical query
-  fingerprint (:func:`~repro.serve.query.query_fingerprint`). Because
-  queries are pure functions of the immutable snapshot, a cache hit is
-  byte-identical to recomputation by construction; the TTL exists so a
-  future hot-reload path can bound staleness, and the LRU bound caps
-  memory.
+  fingerprint (:func:`~repro.serve.query.query_fingerprint`, computed
+  once per query object, so the asyncio fast path, the worker and the
+  engine share one parse and one hash). Because queries are pure
+  functions of the immutable snapshot, a cache hit is byte-identical to
+  recomputation by construction; the TTL exists so a future hot-reload
+  path can bound staleness, and the LRU bound caps memory.
 - **Metrics.** Per-endpoint request/cache/shed counters ride on the same
   :class:`~repro._util.profiling.StageTimings` machinery the pipeline
   uses, plus per-endpoint latency reservoirs for p50/p95/p99. Latencies
@@ -26,23 +27,14 @@ Responses are plain frozen dataclasses; worker threads never share
 mutable query state, and the index itself is read-only after build, so
 any worker count serves byte-identical bodies.
 
-Two scale-out extensions ride on the same loop:
-
-- **Sharded serving.** With ``ServerConfig.shards > 1`` (or an
-  already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
-  server builds one index per shard and executes through
-  :class:`~repro.serve.shard.ShardedEngine`, whose index is their merge
-  — a ``CorpusIndex`` equal to the single index, so ``server.index`` is
-  a ``CorpusIndex`` either way. It reports per-shard traffic in the
-  metrics counters (``serve.shard.<i>.queries`` for domain lookups,
-  ``serve.scatter.queries`` for queries over the whole corpus).
-- **Predicate-level caching.** An injectable ``predicate_cache`` keyed by
-  ``(predicate fingerprint, evidence, snapshot fingerprint)`` lets
-  predicate answers survive snapshot refreshes: pass the same cache
-  object to the server built over the refreshed snapshot — unchanged
-  content keeps hitting (``serve.predicate_cache.hit``/``.miss``
-  counters), while any content change moves the key and forces a
-  recompute.
+**Sharded serving.** With ``ServerConfig.shards > 1`` (or an
+already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
+server builds one index per shard and executes through
+:class:`~repro.serve.shard.ShardedEngine`, whose index is their merge —
+a ``CorpusIndex`` equal to the single index, so ``server.index`` is a
+``CorpusIndex`` either way. It reports per-shard traffic in the metrics
+counters (``serve.shard.<i>.queries`` for domain lookups,
+``serve.scatter.queries`` for queries over the whole corpus).
 
 **Fault seams.** The server exposes explicit, documented seams for the
 chaos harness (:mod:`repro.serve.chaos`) rather than relying on
@@ -77,9 +69,9 @@ generation exactly once and serves entirely from that capture: in-flight
 queries finish on the old index (the capture keeps it alive), new
 arrivals see the new one. Nothing else refers to a replaced generation,
 so it is freed when its last in-flight request finishes. Hot-cache keys
-are prefixed with the generation's fingerprint (and predicate-cache keys
-already embed it), so entries from a superseded generation are
-structurally unreachable — no flush, no stale byte.
+are prefixed with the generation's fingerprint, so entries from a
+superseded generation are structurally unreachable — no flush, no stale
+byte — while a swap to the same content keeps every entry hitting.
 """
 
 from __future__ import annotations
@@ -94,14 +86,8 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 
 from repro._util.profiling import StageTimings
-from repro.compliance.predicate import parse_predicate, predicate_fingerprint
 from repro.errors import QueryError, ServeError
-from repro.serve.query import (
-    PredicateQuery,
-    Query,
-    query_fingerprint,
-    query_kind,
-)
+from repro.serve.query import Query, query_fingerprint, query_kind
 from repro.serve.shard import ShardedEngine, ShardedSnapshot, \
     engine_for, partition_snapshot
 from repro.serve.snapshot import CorpusSnapshot
@@ -421,21 +407,13 @@ class AnnotationServer:
 
     def __init__(self, snapshot: "CorpusSnapshot | ShardedSnapshot",
                  config: ServerConfig | None = None,
-                 clock=time.monotonic, fault_injector=None,
-                 predicate_cache: ResultCache | None = None):
+                 clock=time.monotonic, fault_injector=None):
         self.config = config or ServerConfig()
         self._gen = _build_generation(snapshot, self.config)
         self.metrics = ServeMetrics(
             max_samples=self.config.max_latency_samples)
         self.cache = ResultCache(self.config.cache_entries,
                                  self.config.cache_ttl_s, clock=clock)
-        #: Cross-snapshot predicate-result cache, keyed by
-        #: ``(predicate fingerprint, evidence, snapshot fingerprint)``.
-        #: Injectable so it outlives any one server: hand the same
-        #: ResultCache to the server built over a refreshed snapshot and
-        #: entries for unchanged content keep hitting, while a changed
-        #: snapshot moves every key.
-        self.predicate_cache = predicate_cache
         self._clock = clock
         self._injector = fault_injector
         self._queue: queue.Queue = queue.Queue(
@@ -479,10 +457,10 @@ class AnnotationServer:
         after the store serve from the new one; no request is dropped and
         none can observe a mix. Old hot-cache entries stay behind their
         old fingerprint prefix (structurally unreachable, evicted by
-        TTL/LRU); the predicate cache needs no action because its keys
-        already embed the snapshot fingerprint. A sharded build adopts
-        the old generation's index for every shard whose content is
-        unchanged. Callable whether or not the server is started.
+        TTL/LRU), and a swap to unchanged content keeps hitting them. A
+        sharded build adopts the old generation's index for every shard
+        whose content is unchanged. Callable whether or not the server is
+        started.
         """
         old = self._gen
         started = self._clock()
@@ -703,12 +681,6 @@ class AnnotationServer:
         else:
             self.metrics.increment(f"serve.shard.{shard}.queries")
 
-    @staticmethod
-    def _predicate_key(gen: _Generation, query: PredicateQuery) -> str:
-        pred = parse_predicate(query.predicate)
-        evidence = "evidence" if query.evidence else "domains"
-        return f"{predicate_fingerprint(pred)}:{evidence}:{gen.fingerprint}"
-
     def _serve_one(self, query: Query, kind: str) -> ServeResponse:
         # The one generation capture for this request: every read below
         # goes through ``gen``, so a swap landing mid-request changes
@@ -727,24 +699,11 @@ class AnnotationServer:
         if body is not None:
             return ServeResponse(status=OK, kind=kind, body=body,
                                  cached=True)
-        pkey = None
-        if self.predicate_cache is not None \
-                and isinstance(query, PredicateQuery):
-            pkey = self._predicate_key(gen, query)
-            body = self.predicate_cache.get(pkey)
-            if body is not None:
-                self.metrics.increment("serve.predicate_cache.hit")
-                self.cache.put(key, body)
-                return ServeResponse(status=OK, kind=kind, body=body,
-                                     cached=True)
-            self.metrics.increment("serve.predicate_cache.miss")
         try:
             body = gen.engine.execute(query).to_json()
         except QueryError as exc:
             return ServeResponse(status=ERROR, kind=kind, body=str(exc))
         self.cache.put(key, body)
-        if pkey is not None:
-            self.predicate_cache.put(pkey, body)
         return ServeResponse(status=OK, kind=kind, body=body)
 
 

@@ -24,10 +24,17 @@ index *build* is split across shards; the query path is not:
 
 The on-disk layout is a directory: a ``manifest.json`` naming the shard
 files, their fingerprints, and the **global** corpus fingerprint, plus
-one ordinary verified snapshot file per shard. Loading re-verifies every
-shard, the routing invariant (each domain lives in its hash-assigned
-shard), and the recomputed global fingerprint — a torn, reordered, or
-misassembled shard set is rejected, never served.
+one ordinary verified snapshot file per shard, named by its index and
+content fingerprint (``shard-0003-<fingerprint>.snap.json``).
+:func:`write_sharded_snapshot` is the one writer: it adds the shard
+files not yet present, replaces the manifest last (the one commit
+point), then deletes the files the manifest no longer names, so a crash
+at any point leaves the previous generation or the new one.
+:func:`verify_sharded` is the one verifier, for a load and an in-memory
+refresh alike: shard fingerprints, the routing invariant (each domain
+lives in its hash-assigned shard), and the recomputed global
+fingerprint — a torn, reordered, or misassembled shard set is rejected,
+never served.
 """
 
 from __future__ import annotations
@@ -144,24 +151,32 @@ def merged_snapshot(sharded: ShardedSnapshot) -> CorpusSnapshot:
 # -- disk layout ---------------------------------------------------------
 
 
-def _shard_filename(index: int) -> str:
-    return f"shard-{index:04d}.snap.json"
+def _shard_filename(index: int, fingerprint: str) -> str:
+    return f"shard-{index:04d}-{fingerprint}.snap.json"
 
 
 def write_sharded_snapshot(sharded: ShardedSnapshot,
-                           directory: str | Path) -> Path:
-    """Write shard files + manifest into ``directory`` (manifest last).
+                           directory: str | Path) -> list[str]:
+    """Write a shard set into ``directory``; the manifest is the commit.
 
-    Every file write is atomic, and the manifest — the only entry point
-    readers use — lands only after all shard files are durable, so a
-    crash mid-write leaves either the previous manifest or none.
+    The one sharded writer, for a new directory, a re-partition and a
+    delta refresh alike. A shard file is named by its index and content
+    fingerprint, so no write ever replaces a file the current manifest
+    names: the shard files not already present are written first, the
+    manifest is replaced last (atomically — the one commit point), and
+    only then are the shard files the new manifest does not name deleted.
+    A crash at any point leaves a directory that loads as the previous
+    generation or the new one. Returns the shard file names written.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    written: list[str] = []
     files = []
     for index, shard in enumerate(sharded.shards):
-        name = _shard_filename(index)
-        write_snapshot(shard, directory / name)
+        name = _shard_filename(index, shard.fingerprint)
+        if not (directory / name).exists():
+            write_snapshot(shard, directory / name)
+            written.append(name)
         files.append({"file": name, "fingerprint": shard.fingerprint,
                       "domains": shard.domain_count()})
     manifest = {
@@ -175,20 +190,25 @@ def write_sharded_snapshot(sharded: ShardedSnapshot,
     }
     write_json_atomic(directory / MANIFEST_NAME, manifest, indent=None,
                       sort_keys=True)
-    return directory
+    named = {entry["file"] for entry in files}
+    for path in directory.glob("shard-*.snap.json"):
+        if path.name not in named:
+            path.unlink()
+    return written
 
 
 def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
     """Load and fully re-verify a sharded snapshot directory.
 
-    Four layers of verification, each with a machine-readable
-    :class:`~repro.errors.SnapshotError` reason: the manifest itself
-    (``unreadable``/``not-json``/``not-object``/``schema-mismatch``/
-    ``missing-shards``), each shard file (all the single-snapshot
-    reasons, plus ``shard-fingerprint-mismatch`` against the manifest),
-    the routing invariant (``shard-misrouted`` if any domain sits in a
-    shard its hash does not map to), and the recomputed **global**
-    fingerprint over the merged record stream (``fingerprint-mismatch``).
+    Follows the manifest's file names, so a directory of any writer
+    version with this schema loads. Every rejection is a
+    :class:`~repro.errors.SnapshotError` with a machine-readable reason:
+    the manifest itself (``unreadable``/``not-json``/``not-object``/
+    ``schema-mismatch``/``missing-shards``), each shard file (all the
+    single-snapshot reasons, plus ``shard-fingerprint-mismatch`` against
+    the manifest), then :func:`verify_sharded` for the routing invariant
+    (``shard-misrouted``) and the global fingerprint over the merged
+    record stream (``fingerprint-mismatch``).
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -235,30 +255,53 @@ def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
                 f"{shard.fingerprint[:12]}…, manifest expected "
                 f"{str(entry.get('fingerprint'))[:12]}…",
                 reason="shard-fingerprint-mismatch")
+        shards.append(shard)
+    sharded = ShardedSnapshot(
+        shards=tuple(shards), fingerprint=str(manifest.get("fingerprint")),
+        source=str(manifest.get("source", "records")),
+        provenance=dict(manifest.get("provenance") or {}))
+    # ``load_snapshot`` has just re-derived every shard's fingerprint.
+    verify_sharded(sharded, shards=())
+    return sharded
+
+
+def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
+    """Re-verify a shard set: shard fingerprints, routing, global
+    fingerprint.
+
+    Re-derives the fingerprint of each selected shard (every shard by
+    default; a refresh passes the shards it rebuilt, a load none, since
+    each file was verified as it was read), checks that every record of
+    every shard sits on the shard its domain hashes to, and re-derives
+    the global fingerprint over the merged record stream. Reasons:
+    ``shard-fingerprint-mismatch``, ``shard-misrouted`` and
+    ``fingerprint-mismatch``.
+    """
+    count = len(sharded.shards)
+    selected = range(count) if shards is None else sorted(set(shards))
+    for index in selected:
+        shard = sharded.shards[index]
+        actual = snapshot_fingerprint(list(shard.records))
+        if actual != shard.fingerprint:
+            raise SnapshotError(
+                f"shard {index} fingerprints {actual[:12]}…, carries "
+                f"{shard.fingerprint[:12]}…",
+                reason="shard-fingerprint-mismatch")
+    for index, shard in enumerate(sharded.shards):
         for record in shard.records:
             assigned = shard_for_domain(record.domain, count)
             if assigned != index:
                 raise SnapshotError(
                     f"domain {record.domain!r} sits in shard {index} but "
                     f"hashes to shard {assigned} of {count} — the shard "
-                    f"set was misassembled or written at a different "
-                    f"shard count", reason="shard-misrouted")
-        shards.append(shard)
-
-    merged = list(heapq.merge(*(s.records for s in shards),
-                              key=_DOMAIN_KEY))
-    actual = snapshot_fingerprint(merged)
-    stored = manifest.get("fingerprint")
-    if actual != stored:
+                    f"set was misassembled or cut at a different shard "
+                    f"count", reason="shard-misrouted")
+    actual = snapshot_fingerprint(sharded.records())
+    if actual != sharded.fingerprint:
         raise SnapshotError(
-            f"sharded snapshot {directory} failed global fingerprint "
-            f"verification: manifest says {str(stored)[:12]}…, merged "
-            f"records fingerprint {actual[:12]}…",
-            reason="fingerprint-mismatch")
-    return ShardedSnapshot(shards=tuple(shards), fingerprint=actual,
-                           source=str(manifest.get("source", "records")),
-                           provenance=dict(manifest.get("provenance")
-                                           or {}))
+            f"sharded snapshot carries global fingerprint "
+            f"{sharded.fingerprint[:12]}… but its merged records "
+            f"fingerprint {actual[:12]}…", reason="fingerprint-mismatch")
 
 
 # -- sharded engine -------------------------------------------------------
@@ -308,9 +351,6 @@ class ShardedEngine(QueryEngine):
     def shard_count(self) -> int:
         return len(self.shard_indexes)
 
-    def shard_domain_counts(self) -> list[int]:
-        return [len(index.by_domain) for index in self.shard_indexes]
-
     def route(self, query: Query) -> int | None:
         """The one shard a domain lookup reads, or ``None`` for a query
         over the whole corpus."""
@@ -341,5 +381,6 @@ __all__ = [
     "merged_snapshot",
     "partition_snapshot",
     "shard_for_domain",
+    "verify_sharded",
     "write_sharded_snapshot",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -13,7 +14,6 @@ from repro.ingest import (
     apply_patches_sharded,
     touched_shards,
     verify_sharded,
-    write_sharded_refresh,
 )
 from repro.pipeline.records import DomainAnnotations, TypeAnnotation
 from repro.serve import (
@@ -40,6 +40,12 @@ def _record(domain: str, verbatim: str = "verbatim") -> DomainAnnotations:
 
 def _snapshot(n=12):
     return build_snapshot([_record(f"site{i}.com") for i in range(n)])
+
+
+def _manifest_files(directory) -> list[str]:
+    """The shard file names a sharded directory's manifest lists."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return [entry["file"] for entry in manifest["files"]]
 
 
 class TestRecordPatch:
@@ -190,21 +196,22 @@ class TestWriteShardedRefresh:
         sharded = partition_snapshot(_snapshot(12), 4)
         directory = tmp_path / "serving"
         write_sharded_snapshot(sharded, directory)
-        stamps = {p.name: p.read_bytes()
-                  for p in directory.glob("shard-*.snap.json")}
+        before = _manifest_files(directory)
+        stamps = {name: (directory / name).read_bytes() for name in before}
 
         result = apply_patches_sharded(sharded, [
             RecordPatch.upsert("site1.com",
                                _record("site1.com", verbatim="edited"))])
-        rewritten = write_sharded_refresh(result.sharded, directory)
-        expected = [f"shard-{i:04d}.snap.json" for i in result.touched]
-        assert rewritten == expected
-        for name, before in stamps.items():
-            after = (directory / name).read_bytes()
-            if name in rewritten:
-                assert after != before
+        written = write_sharded_snapshot(result.sharded, directory)
+        after = _manifest_files(directory)
+        assert written == [after[i] for i in result.touched]
+        for index, name in enumerate(before):
+            if index in result.touched:
+                assert after[index] != name
+                assert not (directory / name).exists()
             else:
-                assert after == before
+                assert after[index] == name
+                assert (directory / name).read_bytes() == stamps[name]
 
     def test_refreshed_directory_loads_and_verifies(self, tmp_path):
         sharded = partition_snapshot(_snapshot(12), 4)
@@ -214,15 +221,16 @@ class TestWriteShardedRefresh:
             RecordPatch.remove("site3.com"),
             RecordPatch.upsert("added.example", _record("added.example")),
         ])
-        write_sharded_refresh(result.sharded, directory)
+        write_sharded_snapshot(result.sharded, directory)
         loaded = load_sharded_snapshot(directory)
         assert loaded.fingerprint == result.sharded.fingerprint
         assert loaded.records() == result.sharded.records()
 
     def test_cold_directory_writes_everything(self, tmp_path):
         sharded = partition_snapshot(_snapshot(8), 3)
-        rewritten = write_sharded_refresh(sharded, tmp_path / "fresh")
-        assert rewritten == [f"shard-{i:04d}.snap.json" for i in range(3)]
+        written = write_sharded_snapshot(sharded, tmp_path / "fresh")
+        assert written == _manifest_files(tmp_path / "fresh")
+        assert len(written) == 3
         loaded = load_sharded_snapshot(tmp_path / "fresh")
         assert loaded.fingerprint == sharded.fingerprint
 

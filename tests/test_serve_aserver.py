@@ -18,7 +18,6 @@ from repro.serve import (
     AsyncFrontEnd,
     DomainLookup,
     PredicateQuery,
-    ResultCache,
     ServerConfig,
     TableAggregate,
     TenantQuota,
@@ -252,49 +251,49 @@ class TestPredicateCache:
             {"op": "atom", "aspect": "types",
              "category": "Contact information"}))
 
-    def test_hit_and_miss_counters(self):
-        query = self._predicate()
-        cache = ResultCache(entries=16, ttl_s=3600.0)
-        with AnnotationServer(_snapshot(), ServerConfig(cache_entries=0),
-                              predicate_cache=cache) as server:
-            first = server.request(query)
-            second = server.request(query)
-        assert first.ok and second.ok
-        assert first.body == second.body
-        counters = server.metrics.as_dict()["counters"]
-        assert counters["serve.predicate_cache.miss"] == 1
-        assert counters["serve.predicate_cache.hit"] == 1
-
     def test_survives_snapshot_refresh(self):
-        """Same predicate cache across a server restart on the same
-        snapshot fingerprint: the first request after 'refresh' is a hit."""
+        """A predicate answered before a no-op ``swap_snapshot`` is a
+        hot-cache hit after it: the generation fingerprint in the key
+        does not move when the content does not."""
         snapshot = _snapshot()
         query = self._predicate()
-        cache = ResultCache(entries=16, ttl_s=3600.0)
-        with AnnotationServer(snapshot, ServerConfig(cache_entries=0),
-                              predicate_cache=cache) as server:
+        with AnnotationServer(snapshot) as server:
             before = server.request(query)
-        with AnnotationServer(snapshot, ServerConfig(cache_entries=0),
-                              predicate_cache=cache) as refreshed:
-            after = refreshed.request(query)
-            counters = refreshed.metrics.as_dict()["counters"]
-        assert after.body == before.body
+            swap = server.swap_snapshot(build_snapshot(snapshot.records))
+            after = server.request(query)
+        assert before.ok and not before.cached
+        assert not swap.changed
         assert after.cached
-        assert counters["serve.predicate_cache.hit"] == 1
+        assert after.body == before.body
 
-    def test_changed_snapshot_misses(self):
-        """A different corpus fingerprint must never reuse stale bodies."""
+    def test_miss_parses_and_fingerprints_once(self, monkeypatch):
+        """A predicate miss through the asyncio front end (inline cache
+        probe, then the worker and the engine) parses its predicate once,
+        and the memo does not leak into the query's payload."""
+        import repro.serve.query as query_mod
+
+        calls = []
+        real_parse = query_mod.parse_predicate
+
+        def counting_parse(raw):
+            calls.append(raw)
+            return real_parse(raw)
+
+        monkeypatch.setattr(query_mod, "parse_predicate", counting_parse)
         query = self._predicate()
-        cache = ResultCache(entries=16, ttl_s=3600.0)
-        with AnnotationServer(_snapshot(6), ServerConfig(cache_entries=0),
-                              predicate_cache=cache) as server:
-            server.request(query)
-        with AnnotationServer(_snapshot(9), ServerConfig(cache_entries=0),
-                              predicate_cache=cache) as other:
-            other.request(query)
-            counters = other.metrics.as_dict()["counters"]
-        assert counters["serve.predicate_cache.miss"] == 1
-        assert "serve.predicate_cache.hit" not in counters
+        with AnnotationServer(_snapshot()) as server:
+            registry = TenantRegistry()
+            registry.register("acme")
+            front = AsyncFrontEnd(server, registry)
+            response = asyncio.run(front.handle(derive_api_key("acme"),
+                                                query))
+        assert response.ok and not response.cached
+        assert len(calls) == 1
+        fresh = self._predicate()
+        assert query_mod.query_payload(query) == \
+            query_mod.query_payload(fresh)
+        assert query_mod.query_fingerprint(query) == \
+            query_mod.query_fingerprint(fresh)
 
     def test_malformed_predicate_is_clean_query_error(self):
         with AnnotationServer(_snapshot()) as server:

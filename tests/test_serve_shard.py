@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.serve.shard as shard_mod
 from repro.compliance.oracle import random_predicate
 from repro.errors import SnapshotError
 from repro.ingest import RecordPatch, apply_patches_sharded
@@ -50,6 +51,12 @@ from repro.serve import (
 GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.jsonl"
 
 SHARD_COUNTS = (1, 2, 4, 7)
+
+
+def _shard_paths(directory):
+    """The shard files a sharded directory's manifest names, in order."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return [directory / entry["file"] for entry in manifest["files"]]
 
 
 def _snapshot(n=10):
@@ -163,7 +170,7 @@ class TestShardedDisk:
         directory = tmp_path / "corpus.sharded"
         write_sharded_snapshot(partition_snapshot(_snapshot(), 3),
                                directory)
-        (directory / "shard-0001.snap.json").unlink()
+        _shard_paths(directory)[1].unlink()
         with pytest.raises(SnapshotError) as excinfo:
             load_sharded_snapshot(directory)
         assert excinfo.value.reason == "unreadable"
@@ -172,7 +179,7 @@ class TestShardedDisk:
         directory = tmp_path / "corpus.sharded"
         write_sharded_snapshot(partition_snapshot(_snapshot(), 3),
                                directory)
-        shard_path = directory / "shard-0000.snap.json"
+        shard_path = _shard_paths(directory)[0]
         payload = json.loads(shard_path.read_text())
         payload["records"] = payload["records"][:-1]
         shard_path.write_text(json.dumps(payload))
@@ -189,8 +196,7 @@ class TestShardedDisk:
         # shard, then patch the manifest fingerprints to match the
         # swapped bytes — only the routing invariant can catch this.
         write_sharded_snapshot(sharded, directory)
-        path0 = directory / "shard-0000.snap.json"
-        path1 = directory / "shard-0001.snap.json"
+        path0, path1 = _shard_paths(directory)
         data0, data1 = path0.read_text(), path1.read_text()
         path0.write_text(data1)
         path1.write_text(data0)
@@ -212,6 +218,112 @@ class TestShardedDisk:
         with pytest.raises(SnapshotError) as excinfo:
             load_sharded_snapshot(directory)
         assert excinfo.value.reason == "not-json"
+
+
+def _edited(sharded):
+    """A refresh of ``sharded`` that edits every record (every non-empty
+    shard moves)."""
+    return apply_patches_sharded(sharded, [
+        RecordPatch.upsert(record.domain,
+                           dataclasses.replace(record, sector="XX"))
+        for record in sharded.records()]).sharded
+
+
+def _listing(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def _named(directory):
+    """``manifest.json`` plus every file the manifest names."""
+    return sorted(["manifest.json"]
+                  + [path.name for path in _shard_paths(directory)])
+
+
+class TestShardedWriter:
+    """One writer for full and delta writes; the manifest is the commit."""
+
+    @pytest.mark.parametrize("change", ["refresh", "repartition"])
+    def test_crash_before_manifest_keeps_previous_generation(
+            self, tmp_path, monkeypatch, change):
+        old = partition_snapshot(_snapshot(12), 4)
+        new = _edited(old)
+        if change == "repartition":
+            new = partition_snapshot(merged_snapshot(new), 3)
+        probe = tmp_path / "probe"
+        write_sharded_snapshot(old, probe)
+        pending = len(write_sharded_snapshot(new, probe))
+        assert pending >= 3
+        # Kill the writer before each of its shard-file writes, and once
+        # more after the last one (at the manifest write).
+        crashes = [("write_snapshot", k) for k in range(pending)] \
+            + [("write_json_atomic", 0)]
+        for name, point in crashes:
+            directory = tmp_path / f"crash-{name}-{point}"
+            write_sharded_snapshot(old, directory)
+            real = getattr(shard_mod, name)
+            calls = []
+
+            def crashing(*args, real=real, point=point, calls=calls,
+                         **kwargs):
+                if len(calls) == point:
+                    raise OSError("writer killed")
+                calls.append(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(shard_mod, name, crashing)
+            with pytest.raises(OSError, match="writer killed"):
+                write_sharded_snapshot(new, directory)
+            monkeypatch.setattr(shard_mod, name, real)
+            loaded = load_sharded_snapshot(directory)
+            assert loaded.fingerprint == old.fingerprint, (name, point)
+            assert loaded.records() == old.records(), (name, point)
+            # The next write completes the interrupted one.
+            write_sharded_snapshot(new, directory)
+            loaded = load_sharded_snapshot(directory)
+            assert loaded.fingerprint == new.fingerprint
+            assert loaded.shard_count == new.shard_count
+            assert _listing(directory) == _named(directory)
+
+    def test_directory_holds_only_manifest_and_named_files(self, tmp_path):
+        directory = tmp_path / "serving"
+        sharded = partition_snapshot(_snapshot(12), 4)
+        write_sharded_snapshot(sharded, directory)
+        for round_ in range(3):
+            record = sharded.records()[round_]
+            sharded = apply_patches_sharded(sharded, [RecordPatch.upsert(
+                record.domain, dataclasses.replace(record, sector="XX"))
+            ]).sharded
+            written = write_sharded_snapshot(sharded, directory)
+            assert len(written) == 1
+            assert _listing(directory) == _named(directory)
+        resharded = partition_snapshot(merged_snapshot(sharded), 7)
+        write_sharded_snapshot(resharded, directory)
+        assert _listing(directory) == _named(directory)
+        assert len(_shard_paths(directory)) == 7
+        loaded = load_sharded_snapshot(directory)
+        assert loaded.fingerprint == sharded.fingerprint
+        assert loaded.shard_count == 7
+
+    def test_manifest_naming_unfingerprinted_files_loads(self, tmp_path):
+        """A directory whose manifest names ``shard-000N.snap.json``
+        files (the earlier layout, same schema) still loads, and the
+        next write replaces those files."""
+        sharded = partition_snapshot(_snapshot(), 3)
+        directory = tmp_path / "legacy"
+        write_sharded_snapshot(sharded, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for index, entry in enumerate(manifest["files"]):
+            legacy = f"shard-{index:04d}.snap.json"
+            (directory / entry["file"]).rename(directory / legacy)
+            entry["file"] = legacy
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_sharded_snapshot(directory)
+        assert loaded.fingerprint == sharded.fingerprint
+        assert loaded.records() == sharded.records()
+        assert len(write_sharded_snapshot(loaded, directory)) == 3
+        assert _listing(directory) == _named(directory)
+        assert not (directory / "shard-0000.snap.json").exists()
 
 
 class TestMergedViews:
@@ -331,6 +443,5 @@ class TestShardedChaos:
         report = run_chaos(
             _snapshot(12), FaultPlan.from_seed(11, requests=150),
             workload_config=WorkloadConfig(seed=4, requests=150),
-            server_config=ServerConfig(workers=2, queue_depth=16),
-            shards=3)
+            server_config=ServerConfig(workers=2, queue_depth=16, shards=3))
         assert report.violations() == 0, report.as_dict()
