@@ -9,17 +9,20 @@ applies it to a serving snapshot without rebuilding the world:
   same record set (same sort, same dedup, same fingerprint function).
 - :func:`apply_patches_sharded` routes each patch to the shard owning
   its domain (``shard_for_domain``) and rebuilds **only touched shards**
-  — their records, posting lists, and fingerprints; untouched shard
-  objects are reused identically (the same Python objects, so a
-  downstream :class:`~repro.serve.shard.ShardedEngine` built with
-  ``reuse_from`` skips their index builds too). The global fingerprint
-  is recomputed over the merged stream and re-verified before anything
-  is served or written: :func:`~repro.serve.shard.verify_sharded`, the
-  same verifier a load runs, re-derives the touched shards'
-  fingerprints, the routing invariant, and the global fingerprint. The
-  disk half is :func:`~repro.serve.shard.write_sharded_snapshot`: shard
-  files are content-named, so it writes only the touched shards' files
-  and commits by replacing the manifest.
+  — their record tuples and fingerprints; untouched shard objects are
+  reused identically (the same Python objects, so a downstream
+  :class:`~repro.serve.shard.ShardedEngine` built with ``reuse_from``
+  skips their index builds too). Records are frozen and keep their
+  canonical strings, so every fingerprint below streams over strings
+  already rendered and only the patched records are serialized, once
+  each. The global fingerprint is recomputed over the merged stream and
+  re-verified before anything is served or written:
+  :func:`~repro.serve.shard.verify_sharded`, the same verifier a load
+  runs, re-derives the touched shards' fingerprints, the routing
+  invariant, and the global fingerprint. The disk half is
+  :func:`~repro.serve.shard.write_sharded_snapshot`: shard files are
+  content-named, so it writes only the touched shards' files and
+  commits by replacing the manifest.
 - :func:`refresh_differential` is the proof harness: the incrementally
   refreshed snapshot must fingerprint-equal a from-scratch
   ``snapshot_from_cache`` rebuild over the same warm cache.
@@ -136,11 +139,11 @@ def apply_patches_sharded(sharded: ShardedSnapshot,
     """Patch only the shards owning the changed domains.
 
     Untouched shard snapshots are reused as the same objects; touched
-    shards are rebuilt through ``build_snapshot`` (fresh records, posting
-    lists downstream, and fingerprint). The global fingerprint is
-    recomputed over the merged record stream and the whole result is
-    re-verified before being returned — a bad patch set raises instead of
-    producing a servable-looking lie.
+    shards are rebuilt through ``build_snapshot``, which keeps the record
+    objects (a carried-over record is not serialized again). The global
+    fingerprint is recomputed over the merged record stream and the
+    whole result is re-verified before being returned — a bad patch set
+    raises instead of producing a servable-looking lie.
     """
     count = len(sharded.shards)
     if not patches:

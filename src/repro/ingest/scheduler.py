@@ -256,7 +256,7 @@ class IngestScheduler:
             if state is None:
                 result.patches.append(RecordPatch.upsert(domain, record))
                 self.counters.increment("ingest.launched")
-            elif state.record.to_json() != record.to_json():
+            elif state.record.canonical() != record.canonical():
                 result.patches.append(RecordPatch.upsert(domain, record))
                 self.counters.increment("ingest.patched")
             else:

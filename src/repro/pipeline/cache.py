@@ -234,8 +234,7 @@ class CachedRecord:
     @classmethod
     def from_payload(cls, payload: dict) -> "CachedRecord":
         return cls(
-            record=DomainAnnotations.from_json(
-                json.dumps(payload["record"])),
+            record=DomainAnnotations.from_payload(payload["record"]),
             trace=DomainTrace(**payload["trace"]),
             prompt_tokens=payload["prompt_tokens"],
             completion_tokens=payload["completion_tokens"],

@@ -9,8 +9,10 @@ annotation in context.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+from repro._util.artifacts import canonical_json
 
 
 @dataclass(frozen=True)
@@ -59,25 +61,48 @@ class RightsAnnotation:
     line: int
 
 
-@dataclass
+#: Fields holding annotations, and all fields holding a sequence (a
+#: record stores each as a tuple).
+_ANNOTATION_FIELDS = ("types", "purposes", "handling", "rights")
+_SEQUENCE_FIELDS = _ANNOTATION_FIELDS + ("fallback_aspects",
+                                         "extracted_aspects")
+
+
+@dataclass(frozen=True)
 class DomainAnnotations:
-    """Everything the pipeline produced for one domain."""
+    """Everything the pipeline produced for one domain.
+
+    Frozen, so a record cannot drift from the fingerprint it was
+    published under, and a snapshot generation can hand its records to
+    the next one as they are; an edit is ``dataclasses.replace``.
+    Sequence fields are tuples (a list passed in is converted), which
+    render as the same JSON lists. The canonical JSON (:meth:`canonical`)
+    is rendered once and kept on the object outside its fields, as
+    ``Atom.token`` keeps its string: equality, hashing and payloads never
+    see it, and ``dataclasses.replace`` starts without it.
+    """
 
     domain: str
     sector: str
     status: str  # "annotated" | "no-annotations" | "extract-failed" | "crawl-failed"
-    types: list[TypeAnnotation] = field(default_factory=list)
-    purposes: list[PurposeAnnotation] = field(default_factory=list)
-    handling: list[HandlingAnnotation] = field(default_factory=list)
-    rights: list[RightsAnnotation] = field(default_factory=list)
+    types: tuple[TypeAnnotation, ...] = ()
+    purposes: tuple[PurposeAnnotation, ...] = ()
+    handling: tuple[HandlingAnnotation, ...] = ()
+    rights: tuple[RightsAnnotation, ...] = ()
     #: Aspects for which the full-text annotation fallback was activated.
-    fallback_aspects: list[str] = field(default_factory=list)
+    fallback_aspects: tuple[str, ...] = ()
     #: Aspects with extracted section text.
-    extracted_aspects: list[str] = field(default_factory=list)
+    extracted_aspects: tuple[str, ...] = ()
     #: Word count of the substantive policy text.
     policy_words: int = 0
     #: Annotations removed by the hallucination verifier.
     hallucinations_filtered: int = 0
+
+    def __post_init__(self) -> None:
+        for name in _SEQUENCE_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, tuple):
+                object.__setattr__(self, name, tuple(value))
 
     # -- queries -----------------------------------------------------------
 
@@ -97,24 +122,51 @@ class DomainAnnotations:
     # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), ensure_ascii=False)
+        """One JSONL line: the bytes ``json.dumps(dataclasses.asdict(self),
+        ensure_ascii=False)`` renders, without ``asdict``'s recursive copy
+        (an annotation's ``vars`` holds exactly its fields, in order)."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _ANNOTATION_FIELDS:
+            payload[name] = [vars(a) for a in payload[name]]
+        return json.dumps(payload, ensure_ascii=False)
+
+    def canonical(self) -> str:
+        """``canonical_json(json.loads(self.to_json()))``, rendered once.
+
+        The unit a snapshot fingerprint streams over, and the body a
+        domain lookup and a snapshot file parse back.
+        """
+        try:
+            return self._canonical
+        except AttributeError:
+            text = canonical_json(json.loads(self.to_json()))
+            object.__setattr__(self, "_canonical", text)
+            return text
 
     @classmethod
-    def from_json(cls, raw: str) -> "DomainAnnotations":
-        data = json.loads(raw)
+    def from_payload(cls, data: dict) -> "DomainAnnotations":
+        """The record a decoded JSON object describes; keys it does not
+        name are ignored, and a missing optional field takes its default."""
         return cls(
             domain=data["domain"],
             sector=data["sector"],
             status=data["status"],
-            types=[TypeAnnotation(**t) for t in data.get("types", [])],
-            purposes=[PurposeAnnotation(**p) for p in data.get("purposes", [])],
-            handling=[HandlingAnnotation(**h) for h in data.get("handling", [])],
-            rights=[RightsAnnotation(**r) for r in data.get("rights", [])],
-            fallback_aspects=data.get("fallback_aspects", []),
-            extracted_aspects=data.get("extracted_aspects", []),
+            types=tuple(TypeAnnotation(**t) for t in data.get("types", ())),
+            purposes=tuple(PurposeAnnotation(**p)
+                           for p in data.get("purposes", ())),
+            handling=tuple(HandlingAnnotation(**h)
+                           for h in data.get("handling", ())),
+            rights=tuple(RightsAnnotation(**r)
+                         for r in data.get("rights", ())),
+            fallback_aspects=data.get("fallback_aspects", ()),
+            extracted_aspects=data.get("extracted_aspects", ()),
             policy_words=data.get("policy_words", 0),
             hallucinations_filtered=data.get("hallucinations_filtered", 0),
         )
+
+    @classmethod
+    def from_json(cls, raw: str) -> "DomainAnnotations":
+        return cls.from_payload(json.loads(raw))
 
 
 def write_jsonl(records: list[DomainAnnotations], path: str | Path) -> None:

@@ -11,7 +11,7 @@ keep full-corpus runs inside a laptop's memory budget).
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro._util.profiling import StageTimings, stage_scope
 from repro._util.rng import stable_hash
@@ -416,5 +416,5 @@ def _annotate_domain(domain: str, sector: str, segmented: SegmentedPolicy,
         ),
     )
     if not record.has_any_annotation():
-        record.status = "no-annotations"
+        record = replace(record, status="no-annotations")
     return record

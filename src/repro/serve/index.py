@@ -24,10 +24,12 @@ Everything is stored sorted (domains lexicographically, counts descending
 with lexicographic tie-breaks), which is what makes query results
 byte-stable across snapshot rebuilds and server worker counts.
 
-A sharded corpus is indexed shard by shard and then combined once, at
-build time, by :meth:`CorpusIndex.merge` into an index equal field for
-field to :meth:`CorpusIndex.build` over the whole snapshot, so one query
-engine serves both shapes.
+A sharded corpus is indexed shard by shard (:meth:`CorpusIndex.build_part`
+leaves out the tables, and takes the forms and verdict rows of records
+the previous generation already indexed from that generation) and then
+combined once, at build time, by :meth:`CorpusIndex.merge` into an index
+equal field for field to :meth:`CorpusIndex.build` over the whole
+snapshot, so one query engine serves both shapes.
 """
 
 from __future__ import annotations
@@ -188,6 +190,24 @@ class CorpusIndex:
 
     @classmethod
     def build(cls, snapshot: CorpusSnapshot) -> "CorpusIndex":
+        """Every lookup structure over ``snapshot``, the tables included."""
+        index = cls.build_part(snapshot, None)
+        index._build_aggregates()
+        return index
+
+    @classmethod
+    def build_part(cls, snapshot: CorpusSnapshot,
+                   reuse_from: "CorpusIndex | None") -> "CorpusIndex":
+        """What :meth:`merge` reads of one slice of a corpus: everything
+        :meth:`build` makes but the table aggregates, which a merge
+        rebuilds from the whole record stream.
+
+        ``reuse_from`` is an index over an earlier generation, or
+        ``None``: a record it holds as the same (frozen) object keeps the
+        compiled form and verdict rows that index holds for it, so only
+        the records new to the slice are compiled and meet the rule
+        packs.
+        """
         index = cls(snapshot=snapshot)
         sector_sets: dict[str, set[str]] = {}
         status_sets: dict[str, set[str]] = {}
@@ -239,8 +259,7 @@ class CorpusIndex:
             value: sorted(segments)
             for value, segments in sorted(aspect_segments.items())
         }
-        index._build_aggregates()
-        index._build_compliance()
+        index._build_compliance(reuse_from)
         return index
 
     @classmethod
@@ -253,8 +272,9 @@ class CorpusIndex:
         ``CorpusIndex.build(snapshot)`` field for field: sorted domain
         lists, segment streams and atom postings k-way merge; counters
         add; verdict rows union; logical forms merge by domain. Table
-        aggregates are not merged but rebuilt from ``snapshot``'s record
-        stream (see :meth:`_build_aggregates`).
+        aggregates are not merged but built from ``snapshot``'s record
+        stream (see :meth:`_build_aggregates`), so the parts carry none
+        (:meth:`build_part`).
         """
         index = cls(snapshot=snapshot)
         index.by_domain = {record.domain: record
@@ -302,10 +322,18 @@ class CorpusIndex:
             for name, pack in RULE_PACKS.items()}
         return index
 
-    def _build_compliance(self) -> None:
-        """Compile every record; build atom postings + pack verdict rows."""
-        self.logical_forms = tuple(compile_record(record)
-                                   for record in self.snapshot.records)
+    def _build_compliance(self, reuse_from: "CorpusIndex | None") -> None:
+        """Compile every record; build atom postings + pack verdict rows,
+        taking both from ``reuse_from`` for the records it holds."""
+        records = self.snapshot.records
+        kept: dict[str, LogicalForm] = {}
+        if reuse_from is not None:
+            forms = {form.domain: form for form in reuse_from.logical_forms}
+            kept = {record.domain: forms[record.domain] for record in records
+                    if reuse_from.by_domain.get(record.domain) is record}
+        self.logical_forms = tuple(
+            kept.get(record.domain) or compile_record(record)
+            for record in records)
         atom_sets: dict[str, set[str]] = {}
         clause_lists: dict[str, list[tuple[str, int]]] = {}
         catalog: dict[str, set[Atom]] = {}
@@ -324,9 +352,17 @@ class CorpusIndex:
                                 for token, clauses
                                 in sorted(clause_lists.items())}
         self.atoms_by_aspect = _atom_catalog(catalog)
-        forms = list(self.logical_forms)
-        self.compliance_rows = {name: pack_rows(pack, forms)
-                                for name, pack in RULE_PACKS.items()}
+        fresh = [form for form in self.logical_forms
+                 if form.domain not in kept]
+        self.compliance_rows = {}
+        for name, pack in RULE_PACKS.items():
+            rows = pack_rows(pack, fresh)
+            if kept:
+                for rule_id, verdicts in rows.items():
+                    previous = reuse_from.compliance_rows[name][rule_id]
+                    verdicts.update((domain, previous[domain])
+                                    for domain in kept)
+            self.compliance_rows[name] = rows
 
     # -- compliance lookups ----------------------------------------------
 

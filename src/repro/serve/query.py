@@ -284,7 +284,7 @@ class QueryEngine:
         if record is None:
             return {"domain": query.domain, "found": False}
         return {"domain": query.domain, "found": True,
-                "record": json.loads(record.to_json())}
+                "record": json.loads(record.canonical())}
 
     def _run_filter(self, query: FacetFilter) -> dict:
         candidates: set[str] | None = None

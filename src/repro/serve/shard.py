@@ -20,7 +20,10 @@ index *build* is split across shards; the query path is not:
 - **Incremental rebuilds.** A shard index is a pure function of its
   shard's records, so a refreshed shard set adopts the previous
   engine's index for every shard whose content fingerprint is unchanged
-  (``reuse_from``) and builds only the touched ones before the merge.
+  (``reuse_from``) and builds only the touched ones before the merge;
+  a touched shard takes the compiled forms and verdict rows of the
+  records the previous generation held from that generation's index,
+  so only the patched records are compiled and evaluated.
 
 The on-disk layout is a directory: a ``manifest.json`` naming the shard
 files, their fingerprints, and the **global** corpus fingerprint, plus
@@ -310,7 +313,8 @@ def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
 class ShardedEngine(QueryEngine):
     """A :class:`~repro.serve.query.QueryEngine` over a shard set.
 
-    Each shard gets its own :class:`~repro.serve.index.CorpusIndex`;
+    Each shard gets its own part index
+    (:meth:`~repro.serve.index.CorpusIndex.build_part`, no tables);
     ``index`` is their :meth:`~repro.serve.index.CorpusIndex.merge`, a
     real ``CorpusIndex`` equal to one built over the unsharded snapshot,
     so ``execute`` is byte-identical to
@@ -321,9 +325,12 @@ class ShardedEngine(QueryEngine):
     ``reuse_from`` is the incremental-refresh seam: pass the engine built
     over the *previous* snapshot generation and any shard whose content
     fingerprint is unchanged adopts the old engine's already-built shard
-    index instead of rebuilding it. Safe because a shard index is a pure
+    index instead of rebuilding it, and a rebuilt shard takes the forms
+    and verdict rows of the records the old engine held (as the same
+    objects) from its merged index. Safe because a shard index is a pure
     function of the shard snapshot's records (which determine its
-    fingerprint) and is read-only after build; ``reused_shards`` reports
+    fingerprint), a form and its rows are pure functions of the frozen
+    record, and all are read-only after build; ``reused_shards`` reports
     how many rebuilds were skipped. The new engine keeps no reference to
     ``reuse_from``, so a replaced generation is freed as soon as its last
     reader lets go.
@@ -332,7 +339,9 @@ class ShardedEngine(QueryEngine):
     def __init__(self, sharded: ShardedSnapshot,
                  reuse_from: "ShardedEngine | None" = None):
         reusable: dict[str, CorpusIndex] = {}
+        previous = None
         if reuse_from is not None:
+            previous = reuse_from.index
             for index in reuse_from.shard_indexes:
                 reusable[index.snapshot.fingerprint] = index
         self.reused_shards = 0
@@ -343,7 +352,8 @@ class ShardedEngine(QueryEngine):
                 self.shard_indexes.append(cached)
                 self.reused_shards += 1
             else:
-                self.shard_indexes.append(CorpusIndex.build(shard))
+                self.shard_indexes.append(
+                    CorpusIndex.build_part(shard, previous))
         super().__init__(CorpusIndex.merge(self.shard_indexes,
                                            merged_snapshot(sharded)))
 

@@ -9,10 +9,14 @@ without re-running any pipeline stage. Design points:
   corpus order, worker count, executor backend, and cache state — the
   same annotated corpus always snapshots to the same file.
 - **Content fingerprinting.** ``fingerprint`` is the SHA-256 of the
-  canonical record payloads (the PR-3 fingerprint machinery via
-  :func:`repro._util.artifacts.content_digest`). :func:`load_snapshot`
-  recomputes and verifies it, so a truncated or hand-edited snapshot is
-  rejected instead of silently serving wrong answers.
+  canonical record payload list — the digest
+  :func:`repro._util.artifacts.content_digest` gives — streamed over each
+  frozen record's canonical string, which is rendered once and kept on
+  the record (:meth:`DomainAnnotations.canonical`), so a record a
+  refresh carries over is never serialized again. :func:`load_snapshot`
+  recomputes it over the records it decoded and verifies it, so a
+  truncated or hand-edited snapshot is rejected instead of silently
+  serving wrong answers.
 - **Atomic writes.** :func:`write_snapshot` goes through temp-file +
   ``os.replace``; a crash mid-write never leaves a torn snapshot where a
   server could pick it up.
@@ -24,11 +28,12 @@ without re-running any pipeline stage. Design points:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro._util.artifacts import content_digest, write_json_atomic
+from repro._util.artifacts import write_json_atomic
 from repro.errors import SnapshotError
 from repro.pipeline.records import DomainAnnotations
 
@@ -37,18 +42,35 @@ from repro.pipeline.records import DomainAnnotations
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def _record_payloads(records: list[DomainAnnotations]) -> list[dict]:
-    """Canonical JSON-ready payloads: sorted by domain, first dup wins."""
+def _canonical_records(records) -> tuple[DomainAnnotations, ...]:
+    """Records sorted by domain, the first record of a domain winning."""
     by_domain: dict[str, DomainAnnotations] = {}
     for record in records:
         by_domain.setdefault(record.domain, record)
-    return [json.loads(by_domain[domain].to_json())
-            for domain in sorted(by_domain)]
+    return tuple(by_domain[domain] for domain in sorted(by_domain))
+
+
+def _records_digest(records) -> str:
+    """SHA-256 of the canonical JSON list of ``records``' payloads.
+
+    Streamed over each record's memoized canonical string: a canonical
+    JSON list renders as ``[`` + its items joined by ``,`` + ``]``, so
+    this is ``content_digest`` of the payload list, and a record is
+    rendered at most once however many fingerprints cover it.
+    """
+    digest = hashlib.sha256(b"[")
+    separator = b""
+    for record in records:
+        digest.update(separator)
+        digest.update(record.canonical().encode("utf-8"))
+        separator = b","
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def snapshot_fingerprint(records: list[DomainAnnotations]) -> str:
     """Content fingerprint of a record set's canonical snapshot payload."""
-    return content_digest(_record_payloads(records))
+    return _records_digest(_canonical_records(records))
 
 
 @dataclass(frozen=True)
@@ -82,19 +104,21 @@ class CorpusSnapshot:
             "provenance": self.provenance,
             "domains": self.domain_count(),
             "statuses": self.status_counts(),
-            "records": [json.loads(r.to_json()) for r in self.records],
+            "records": [json.loads(r.canonical()) for r in self.records],
         }
 
 
 def build_snapshot(records: list[DomainAnnotations], *,
                    source: str = "records",
                    provenance: dict | None = None) -> CorpusSnapshot:
-    """Freeze a record list into a canonical snapshot."""
-    payloads = _record_payloads(records)
-    canonical = tuple(
-        DomainAnnotations.from_json(json.dumps(p)) for p in payloads)
+    """Put a record list in canonical order and fingerprint it.
+
+    The snapshot holds the given (frozen) record objects themselves, so
+    a record kept across snapshot generations is rendered once.
+    """
+    canonical = _canonical_records(records)
     return CorpusSnapshot(records=canonical,
-                          fingerprint=content_digest(payloads),
+                          fingerprint=_records_digest(canonical),
                           source=source,
                           provenance=dict(provenance or {}))
 
@@ -188,13 +212,15 @@ def load_snapshot(path: str | Path) -> CorpusSnapshot:
         raise SnapshotError(f"snapshot {path} carries no record list",
                             reason="missing-records")
     try:
-        records = tuple(DomainAnnotations.from_json(json.dumps(r))
+        records = tuple(DomainAnnotations.from_payload(r)
                         for r in raw_records)
     except (KeyError, TypeError) as exc:
         raise SnapshotError(
             f"snapshot {path} holds a malformed record: {exc}",
             reason="malformed-record") from exc
-    actual = content_digest(raw_records)
+    # Over the decoded records, whose canonical strings stay memoized: a
+    # key the decoder drops cannot ride along under the fingerprint.
+    actual = _records_digest(records)
     stored = payload.get("fingerprint")
     if actual != stored:
         raise SnapshotError(

@@ -1,5 +1,7 @@
 """Further analysis-layer tests: sector rankings and breakdown internals."""
 
+import dataclasses
+
 from repro.analysis import CategoryBreakdown, CoverageStat, breakdown
 from repro.pipeline import DomainAnnotations, TypeAnnotation
 
@@ -26,13 +28,13 @@ class TestSectorRanking:
         ]
         # Give every record at least one annotation so all count as
         # annotated population members.
-        for record in records:
-            if not record.types:
-                record.rights = []
-                record.types = [
+        records = [
+            record if record.types else dataclasses.replace(
+                record, rights=[], types=[
                     TypeAnnotation(category="Y", meta_category="M",
                                    descriptor="y", verbatim="v", line=1)
-                ]
+                ])
+            for record in records]
         return breakdown(records, "types", ["X"])
 
     def test_ranking_order(self):

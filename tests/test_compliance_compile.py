@@ -128,9 +128,9 @@ def records(draw, min_annotations=0):
         rights=draw(st.lists(rights_annotations(), max_size=4)),
     )
     if record.annotation_count() < min_annotations:
-        record.types = record.types + draw(
+        record = dataclasses.replace(record, types=record.types + tuple(draw(
             st.lists(type_annotations(), min_size=min_annotations,
-                     max_size=min_annotations))
+                     max_size=min_annotations))))
     return record
 
 
@@ -168,13 +168,14 @@ def predicates():
 def test_compile_is_order_invariant(record, seed):
     import random
 
+    rng = random.Random(seed)
+    aspects = {}
+    for aspect in ("types", "purposes", "handling", "rights"):
+        aspects[aspect] = list(getattr(record, aspect))
+        rng.shuffle(aspects[aspect])
     shuffled = DomainAnnotations(
         domain=record.domain, sector=record.sector, status=record.status,
-        types=list(record.types), purposes=list(record.purposes),
-        handling=list(record.handling), rights=list(record.rights))
-    rng = random.Random(seed)
-    for aspect in ("types", "purposes", "handling", "rights"):
-        rng.shuffle(getattr(shuffled, aspect))
+        **aspects)
     assert compile_record(shuffled) == compile_record(record)
     assert compile_record(shuffled).fingerprint == \
         compile_record(record).fingerprint

@@ -1,5 +1,7 @@
 """Tests for the distillation extension (§6 future work)."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,13 +116,12 @@ class TestTrainingEdgeCases:
     def test_purpose_labels_learned_when_present(self):
         records = []
         for i in range(4):
-            record = _record(f"p{i}.com", [])
-            record.purposes = [
+            record = dataclasses.replace(_record(f"p{i}.com", []), purposes=[
                 PurposeAnnotation(category="Marketing", meta_category="X",
                                   descriptor="targeted advertising",
                                   verbatim="personalized advertising",
                                   line=3),
-            ]
+            ])
             records.append(record)
         annotator = DistilledAnnotator.train(records)
         output = annotator.annotate_lines(
