@@ -6,11 +6,18 @@ instead (the fallback activated for 708/2545 policies in the paper). Every
 annotation's verbatim evidence is checked against the source text by the
 hallucination verifier, and repeated mentions normalizing to the same
 descriptor/label are collapsed to one unique annotation per domain.
+
+Both annotators run that one control flow. The cascade annotator
+(:mod:`repro.pipeline.cascade`) passes each aspect a ``split`` that
+answers confident lines on its fast path, so only the rest reach the
+chatbot task; without a split every line goes to the chatbot task, which
+is the chatbot annotator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.chatbot.models import ChatModel
 from repro.chatbot.practices import parse_retention_period
@@ -101,80 +108,123 @@ class AspectOutcome:
     hallucinations: int = 0
 
 
-def _with_fallback(task, segmented: SegmentedPolicy, aspect: Aspect,
-                   options: AnnotateOptions):
-    """Run ``task`` on the aspect's section, falling back to full text."""
-    lines = segmented.lines_for(aspect)
-    used_fallback = False
-    results = task(lines) if lines else []
-    if not results and options.use_fallback:
-        full = segmented.all_lines()
-        # Only a genuine fallback when it adds text beyond the section.
-        if full and full != lines:
-            used_fallback = True
-            results = task(full)
-    return results, used_fallback
-
-
 def annotate_types(model: ChatModel, segmented: SegmentedPolicy,
                    verifier: HallucinationVerifier,
                    options: AnnotateOptions = AnnotateOptions(),
-                   index=None) -> AspectOutcome:
+                   index=None, split=None) -> AspectOutcome:
     """Extract, verify, normalize, and dedup collected data types."""
-    return _annotate_taxonomy(
-        model, segmented, verifier, options, index,
+    return _annotate_aspect(
+        model, segmented, verifier, options, index, split,
         aspect=Aspect.TYPES,
-        extract=lambda lines: run_extract_types(
+        task=lambda lines: run_extract_types(
             model, lines, options.include_glossary, options.include_negation
         ),
+        evidence="text",
         normalize=lambda phrases: run_normalize_types(
             model, phrases, options.include_glossary
         ),
-        taxonomy=DATA_TYPE_TAXONOMY,
-        record_type=TypeAnnotation,
+        finalize=partial(finalize_taxonomy, taxonomy=DATA_TYPE_TAXONOMY,
+                         record_type=TypeAnnotation),
     )
 
 
 def annotate_purposes(model: ChatModel, segmented: SegmentedPolicy,
                       verifier: HallucinationVerifier,
                       options: AnnotateOptions = AnnotateOptions(),
-                      index=None) -> AspectOutcome:
+                      index=None, split=None) -> AspectOutcome:
     """Extract, verify, normalize, and dedup data collection purposes."""
-    return _annotate_taxonomy(
-        model, segmented, verifier, options, index,
+    return _annotate_aspect(
+        model, segmented, verifier, options, index, split,
         aspect=Aspect.PURPOSES,
-        extract=lambda lines: run_extract_purposes(
+        task=lambda lines: run_extract_purposes(
             model, lines, options.include_glossary, options.include_negation
         ),
+        evidence="text",
         normalize=lambda phrases: run_normalize_purposes(
             model, phrases, options.include_glossary
         ),
-        taxonomy=PURPOSE_TAXONOMY,
-        record_type=PurposeAnnotation,
+        finalize=partial(finalize_taxonomy, taxonomy=PURPOSE_TAXONOMY,
+                         record_type=PurposeAnnotation),
     )
 
 
-def _annotate_taxonomy(model, segmented, verifier, options, index, aspect,
-                       extract, normalize, taxonomy,
-                       record_type) -> AspectOutcome:
+def annotate_handling(model: ChatModel, segmented: SegmentedPolicy,
+                      verifier: HallucinationVerifier,
+                      options: AnnotateOptions = AnnotateOptions(),
+                      index=None, split=None) -> AspectOutcome:
+    """Label retention/protection practices."""
+    return _annotate_aspect(
+        model, segmented, verifier, options, index, split,
+        aspect=Aspect.HANDLING,
+        task=lambda lines: run_annotate_handling(
+            model, lines,
+            ignore_anonymized=options.refine_anonymized_retention,
+        ),
+        evidence="verbatim",
+        finalize=partial(finalize_practices, valid_groups=_HANDLING_GROUPS,
+                         build=_build_handling),
+    )
+
+
+def annotate_rights(model: ChatModel, segmented: SegmentedPolicy,
+                    verifier: HallucinationVerifier,
+                    options: AnnotateOptions = AnnotateOptions(),
+                    index=None, split=None) -> AspectOutcome:
+    """Label choice/access practices."""
+    return _annotate_aspect(
+        model, segmented, verifier, options, index, split,
+        aspect=Aspect.RIGHTS,
+        task=lambda lines: run_annotate_rights(model, lines),
+        evidence="verbatim",
+        finalize=partial(finalize_practices, valid_groups=_RIGHTS_GROUPS,
+                         build=_build_rights),
+    )
+
+
+def _annotate_aspect(model, segmented: SegmentedPolicy,
+                     verifier: HallucinationVerifier,
+                     options: AnnotateOptions, index, split, aspect: Aspect,
+                     task, evidence: str, finalize,
+                     normalize=None) -> AspectOutcome:
+    """One aspect of one domain, for both annotators.
+
+    ``split`` maps lines to ``(fast-path items, lines to escalate)``;
+    ``None`` escalates every line, which is the chatbot annotator. The
+    escalated lines go to the chatbot ``task``; the full text is the
+    fallback when the section yields nothing; the verifier keeps only
+    items whose ``evidence`` attribute occurs in the source; ``normalize``
+    (taxonomy aspects) maps the task's items before ``finalize``.
+    """
     bind_model_index(model, index)
-    outcome = AspectOutcome()
+
+    def attempt(lines):
+        fast, escalated = split(lines) if split is not None else ([], lines)
+        return fast, (task(escalated) if escalated else [])
+
+    lines = segmented.lines_for(aspect)
+    used_fallback = False
     try:
-        phrases, outcome.used_fallback = _with_fallback(extract, segmented,
-                                                        aspect, options)
+        fast, chat = attempt(lines) if lines else ([], [])
+        if not fast and not chat and options.use_fallback:
+            full = segmented.all_lines()
+            # Only a genuine fallback when it adds text beyond the section.
+            if full and full != lines:
+                used_fallback = True
+                fast, chat = attempt(full)
     except TaskOutputError:
-        return outcome
+        return AspectOutcome()
+    outcome = AspectOutcome(used_fallback=used_fallback)
     if options.use_hallucination_filter:
-        kept = [p for p in phrases if verifier.contains(p.text)]
-        outcome.hallucinations = len(phrases) - len(kept)
-        phrases = kept
-    if not phrases:
-        return outcome
-    try:
-        normalized = normalize(phrases)
-    except TaskOutputError:
-        return outcome
-    finalize_taxonomy(outcome, normalized, taxonomy, record_type)
+        found = len(fast) + len(chat)
+        fast = [i for i in fast if verifier.contains(getattr(i, evidence))]
+        chat = [i for i in chat if verifier.contains(getattr(i, evidence))]
+        outcome.hallucinations = found - len(fast) - len(chat)
+    if normalize is not None and chat:
+        try:
+            chat = normalize(chat)
+        except TaskOutputError:
+            return outcome
+    finalize(outcome, fast + chat)
     return outcome
 
 
@@ -182,9 +232,8 @@ def finalize_taxonomy(outcome: AspectOutcome, normalized, taxonomy,
                       record_type) -> None:
     """Taxonomy-filter, dedup, and record normalized phrases.
 
-    The shared tail of the chatbot and cascade taxonomy paths: drop
-    out-of-taxonomy categories, collapse repeats of one
-    (category, descriptor) to the first mention, and build record rows.
+    Drops out-of-taxonomy categories, collapses repeats of one
+    (category, descriptor) to the first mention, and builds record rows.
     """
     known_categories = {c.name for c in taxonomy.categories()}
     descriptor_names = {
@@ -210,57 +259,9 @@ def finalize_taxonomy(outcome: AspectOutcome, normalized, taxonomy,
         )
 
 
-def annotate_handling(model: ChatModel, segmented: SegmentedPolicy,
-                      verifier: HallucinationVerifier,
-                      options: AnnotateOptions = AnnotateOptions(),
-                      index=None) -> AspectOutcome:
-    """Label retention/protection practices."""
-    return _annotate_practices(
-        model, segmented, verifier, options, index,
-        aspect=Aspect.HANDLING,
-        task=lambda lines: run_annotate_handling(
-            model, lines,
-            ignore_anonymized=options.refine_anonymized_retention,
-        ),
-        valid_groups=_HANDLING_GROUPS,
-        build=_build_handling,
-    )
-
-
-def annotate_rights(model: ChatModel, segmented: SegmentedPolicy,
-                    verifier: HallucinationVerifier,
-                    options: AnnotateOptions = AnnotateOptions(),
-                    index=None) -> AspectOutcome:
-    """Label choice/access practices."""
-    return _annotate_practices(
-        model, segmented, verifier, options, index,
-        aspect=Aspect.RIGHTS,
-        task=lambda lines: run_annotate_rights(model, lines),
-        valid_groups=_RIGHTS_GROUPS,
-        build=_build_rights,
-    )
-
-
-def _annotate_practices(model, segmented, verifier, options, index, aspect,
-                        task, valid_groups, build) -> AspectOutcome:
-    bind_model_index(model, index)
-    outcome = AspectOutcome()
-    try:
-        results, outcome.used_fallback = _with_fallback(task, segmented,
-                                                        aspect, options)
-    except TaskOutputError:
-        return outcome
-    if options.use_hallucination_filter:
-        kept = [r for r in results if verifier.contains(r.verbatim)]
-        outcome.hallucinations = len(results) - len(kept)
-        results = kept
-    finalize_practices(outcome, results, valid_groups, build)
-    return outcome
-
-
 def finalize_practices(outcome: AspectOutcome, results, valid_groups,
                        build) -> None:
-    """Group-filter, dedup, and record practice results (shared tail)."""
+    """Group-filter, dedup, and record practice results."""
     seen: set[tuple[str, str]] = set()
     for result in results:
         labels = valid_groups.get(result.group)

@@ -364,56 +364,47 @@ def _annotate_domain(domain: str, sector: str, segmented: SegmentedPolicy,
     bind_model_index(model, index)
     verifier = HallucinationVerifier(segmented.document.text, index=index)
     annotate_options = options.annotate_options()
+    fast_path = None
+    if annotate_options.annotator == "cascade":
+        from repro.pipeline.cascade import FastPath
+
+        fast_path = FastPath(options, model, index)
     usage = getattr(model, "usage", None)
     calls_before = usage.calls if usage is not None else None
 
-    if annotate_options.annotator == "cascade":
-        from repro.pipeline.cascade import cascade_aspects
+    outcomes = {}
+    for aspect, annotate in ((Aspect.TYPES, annotate_types),
+                             (Aspect.PURPOSES, annotate_purposes),
+                             (Aspect.HANDLING, annotate_handling),
+                             (Aspect.RIGHTS, annotate_rights)):
+        with stage_scope(timings, f"annotate.{aspect.value}"):
+            outcomes[aspect] = annotate(
+                model, segmented, verifier, annotate_options, index=index,
+                split=fast_path.split(aspect) if fast_path else None)
+    if timings is not None:
+        if fast_path is not None:
+            timings.increment("cascade.fast_path_segments",
+                              fast_path.fast_segments)
+            timings.increment("cascade.escalated_segments",
+                              fast_path.escalated_segments)
+        if calls_before is not None:
+            timings.increment("annotate.chatbot_calls",
+                              usage.calls - calls_before)
 
-        types, purposes, handling, rights = cascade_aspects(
-            model, segmented, verifier, options, index, timings=timings)
-    else:
-        with stage_scope(timings, "annotate.types"):
-            types = annotate_types(model, segmented, verifier,
-                                   annotate_options, index=index)
-        with stage_scope(timings, "annotate.purposes"):
-            purposes = annotate_purposes(model, segmented, verifier,
-                                         annotate_options, index=index)
-        with stage_scope(timings, "annotate.handling"):
-            handling = annotate_handling(model, segmented, verifier,
-                                         annotate_options, index=index)
-        with stage_scope(timings, "annotate.rights"):
-            rights = annotate_rights(model, segmented, verifier,
-                                     annotate_options, index=index)
-    if timings is not None and calls_before is not None:
-        timings.increment("annotate.chatbot_calls",
-                          usage.calls - calls_before)
-
-    fallback_aspects = [
-        aspect.value
-        for aspect, outcome in (
-            (Aspect.TYPES, types),
-            (Aspect.PURPOSES, purposes),
-            (Aspect.HANDLING, handling),
-            (Aspect.RIGHTS, rights),
-        )
-        if outcome.used_fallback
-    ]
     record = DomainAnnotations(
         domain=domain,
         sector=sector,
         status="annotated",
-        types=types.annotations,
-        purposes=purposes.annotations,
-        handling=handling.annotations,
-        rights=rights.annotations,
-        fallback_aspects=fallback_aspects,
+        types=outcomes[Aspect.TYPES].annotations,
+        purposes=outcomes[Aspect.PURPOSES].annotations,
+        handling=outcomes[Aspect.HANDLING].annotations,
+        rights=outcomes[Aspect.RIGHTS].annotations,
+        fallback_aspects=[aspect.value for aspect, outcome in outcomes.items()
+                          if outcome.used_fallback],
         extracted_aspects=[a.value for a in segmented.extracted_aspects()],
         policy_words=segmented.substantive_word_count(),
-        hallucinations_filtered=(
-            types.hallucinations + purposes.hallucinations
-            + handling.hallucinations + rights.hallucinations
-        ),
+        hallucinations_filtered=sum(outcome.hallucinations
+                                    for outcome in outcomes.values()),
     )
     if not record.has_any_annotation():
         record = replace(record, status="no-annotations")
