@@ -2,24 +2,26 @@
 
 Examples::
 
-    repro-pipeline run --fraction 0.1 --out annotations.jsonl
-    repro-pipeline tables --fraction 0.1
-    repro-pipeline validate --fraction 0.1
-    repro-pipeline crawl-stats --fraction 0.2
-    repro-pipeline serve-snapshot --fraction 0.1 --out corpus.snap.json
+    repro-pipeline --fraction 0.1 run --out annotations.jsonl
+    repro-pipeline --fraction 0.1 tables
+    repro-pipeline --fraction 0.1 validate
+    repro-pipeline --fraction 0.2 crawl-stats
+    repro-pipeline --fraction 0.1 serve-snapshot --out corpus.snap.json
     repro-pipeline query --snapshot corpus.snap.json --domain acme.com
     repro-pipeline compliance --snapshot corpus.snap.json --pack gdpr
-    repro-pipeline compliance --snapshot corpus.snap.json \\
-        --predicate '{"op": "atom", "aspect": "purposes", \\
-                      "category": "Data sharing"}' --engine check
-    repro-pipeline ingest --cache-dir .cache --out live.snap --shards 4 \\
+    repro-pipeline compliance --snapshot corpus.snap.json --engine check \\
+        --predicate '{"op": "atom", "aspect": "purposes",
+                      "category": "Data sharing"}'
+    repro-pipeline --cache-dir .cache ingest --out live.snap --shards 4 \\
         --watch --max-rounds 5 --mutate-per-round 2
     repro-pipeline bench-serve --snapshot corpus.snap.json --requests 2000
     repro-pipeline chaos --snapshot corpus.snap.json --chaos-seed 7 \\
         --faults worker-death,cache-poison
 
-Errors are diagnosed, never dumped as tracebacks: unknown subcommands and
-invalid flag combinations exit with status 2 and a one-line usage hint.
+Global options (``--seed``, ``--fraction``, ``--cache-dir``, ...) go
+before the subcommand. Errors are diagnosed, never dumped as tracebacks:
+unknown subcommands and invalid flag combinations exit with status 2 and
+a one-line usage hint.
 The ``chaos`` subcommand exits 1 when any invariant is violated.
 """
 

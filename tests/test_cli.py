@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import _USAGE_HINT, build_parser, main
 from repro.pipeline.records import read_jsonl
 from repro.serve import (
@@ -33,6 +35,33 @@ class TestParser:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_docstring_examples_parse(self):
+        """Every example in the module docstring is a valid command line."""
+        lines = cli.__doc__.replace("\\\n", " ").splitlines()
+        commands, pending = [], None
+        for line in lines:
+            if pending is None and not line.lstrip().startswith(
+                    "repro-pipeline "):
+                continue
+            pending = line if pending is None else f"{pending}\n{line}"
+            try:
+                argv = shlex.split(pending)
+            except ValueError:  # a quoted argument runs onto the next line
+                continue
+            commands.append(argv)
+            pending = None
+        assert pending is None
+        assert len(commands) == sum(
+            line.lstrip().startswith("repro-pipeline ") for line in lines)
+        parser = build_parser()
+        for argv in commands:
+            try:
+                args = parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"does not parse: {shlex.join(argv)}")
+            if getattr(args, "predicate", None):
+                json.loads(args.predicate)
 
 
 class TestCommands:
