@@ -183,11 +183,11 @@ def _run(args, cache_dir: Path) -> int:
                 f"FAIL: shard {i} object reuse disagrees with touched set")
     if new_engine.reused_shards != args.shards - len(refresh.touched):
         raise SystemExit(
-            f"FAIL: engine reused {new_engine.reused_shards} indexes, "
-            f"expected {args.shards - len(refresh.touched)}")
+            f"FAIL: engine found {new_engine.reused_shards} shards "
+            f"unchanged, expected {args.shards - len(refresh.touched)}")
     print(f"delta refresh: {k} edits → {len(rnd.patches)} patches, "
           f"{len(refresh.touched)}/{args.shards} shards rebuilt, "
-          f"{new_engine.reused_shards} indexes reused, {delta_s:.2f}s")
+          f"{new_engine.reused_shards} unchanged, {delta_s:.2f}s")
 
     # -- 3. full warm rebuild (the baseline) -----------------------------
     t0 = time.perf_counter()
@@ -254,8 +254,8 @@ def _run(args, cache_dir: Path) -> int:
     print(f"swap under load: {swap['requests']} requests, "
           f"{swap['dropped']} dropped, {swap['wrong_bytes']} wrong bytes, "
           f"{swap['post_ok']}/{swap['post_requests']} post-swap probes on "
-          f"new bytes, swap reused "
-          f"{swap['swap']['shards_reused']}/{args.shards} shard indexes")
+          f"new bytes, swap found "
+          f"{swap['swap']['shards_reused']}/{args.shards} shards unchanged")
 
     # -- artifact ---------------------------------------------------------
     payload = {

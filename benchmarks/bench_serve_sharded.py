@@ -11,8 +11,8 @@ Five phases, each with hard assertions (this doubles as the CI smoke):
    compliance scans) and require byte-identical response bodies across
    shard counts {1, 2, 4, 7}, a shuffled record order, and a cold vs.
    warm result cache — all compared against the single-index engine. A
-   sharded server answers from the merge of its shard indexes, so this
-   checks that merge end to end.
+   sharded server answers from one index of its merged records, so this
+   checks the sharded path end to end.
 3. **Async front end vs. submit-path baseline** — the same zipfian
    closed-loop workload, from the same coroutine clients, through (a)
    ``AnnotationServer.submit`` on a single-shard server and (b) the

@@ -68,7 +68,7 @@ class CategoryBreakdown:
         return self.sectors_by_coverage()[-1]
 
 
-def _unique_counts(record: DomainAnnotations, kind: str) -> dict[str, int]:
+def unique_counts(record: DomainAnnotations, kind: str) -> dict[str, int]:
     """Unique descriptor/label counts per category for one record."""
     counts: dict[str, set] = {}
     if kind == "types":
@@ -109,7 +109,7 @@ def breakdown(records: list[DomainAnnotations], kind: str,
         for name in categories
     }
     for record in records:
-        counts = _unique_counts(record, kind)
+        counts = unique_counts(record, kind)
         for name in categories:
             count = counts.get(name, 0)
             row = result[name]

@@ -108,29 +108,42 @@ def table1_practice_counts(records: list[DomainAnnotations]) -> dict[str, dict[s
     return {group: dict(counter) for group, counter in counts.items()}
 
 
+#: Tables 2a, 2b and 3 as ``(kind, names)`` blocks of coverage rows (see
+#: :func:`~repro.analysis.stats.breakdown`); a later block's row replaces an
+#: earlier block's of the same name.
+COVERAGE_TABLES = {
+    "table2a": (("types-meta",
+                 [m.name for m in DATA_TYPE_TAXONOMY.meta_categories]),),
+    "table2b": (("purposes-meta",
+                 [m.name for m in PURPOSE_TAXONOMY.meta_categories]),
+                ("purposes", [c.name for c in PURPOSE_TAXONOMY.categories()])),
+    "table3": (("labels", RETENTION_LABELS.names() + PROTECTION_LABELS.names()
+                + CHOICE_LABELS.names() + ACCESS_LABELS.names()),),
+}
+
+
+def _coverage_table(records: list[DomainAnnotations],
+                    table: str) -> dict[str, CategoryBreakdown]:
+    population = annotated_records(records)
+    result: dict[str, CategoryBreakdown] = {}
+    for kind, names in COVERAGE_TABLES[table]:
+        result.update(breakdown(population, kind, names))
+    return result
+
+
 def table2a_types(records: list[DomainAnnotations]) -> dict[str, CategoryBreakdown]:
     """Table 2a: data-type coverage by meta-category."""
-    population = annotated_records(records)
-    names = [m.name for m in DATA_TYPE_TAXONOMY.meta_categories]
-    return breakdown(population, "types-meta", names)
+    return _coverage_table(records, "table2a")
 
 
 def table2b_purposes(records: list[DomainAnnotations]) -> dict[str, CategoryBreakdown]:
     """Table 2b: purpose coverage (meta-categories and categories)."""
-    population = annotated_records(records)
-    meta_names = [m.name for m in PURPOSE_TAXONOMY.meta_categories]
-    cat_names = [c.name for c in PURPOSE_TAXONOMY.categories()]
-    result = breakdown(population, "purposes-meta", meta_names)
-    result.update(breakdown(population, "purposes", cat_names))
-    return result
+    return _coverage_table(records, "table2b")
 
 
 def table3_practices(records: list[DomainAnnotations]) -> dict[str, CategoryBreakdown]:
     """Table 3: handling/rights label coverage with sector breakdowns."""
-    population = annotated_records(records)
-    labels = (RETENTION_LABELS.names() + PROTECTION_LABELS.names()
-              + CHOICE_LABELS.names() + ACCESS_LABELS.names())
-    return breakdown(population, "labels", labels)
+    return _coverage_table(records, "table3")
 
 
 def table5_types_full(records: list[DomainAnnotations]) -> dict[str, CategoryBreakdown]:

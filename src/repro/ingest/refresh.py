@@ -10,13 +10,14 @@ applies it to a serving snapshot without rebuilding the world:
 - :func:`apply_patches_sharded` routes each patch to the shard owning
   its domain (``shard_for_domain``) and rebuilds **only touched shards**
   — their record tuples and fingerprints; untouched shard objects are
-  reused identically (the same Python objects, so a downstream
+  reused identically (the same Python objects), and every unchanged
+  record passes on as the same object, so a downstream
   :class:`~repro.serve.shard.ShardedEngine` built with ``reuse_from``
-  skips their index builds too). Records are frozen and keep their
-  canonical strings, so every fingerprint below streams over strings
-  already rendered and only the patched records are serialized, once
-  each. The global fingerprint is recomputed over the merged stream and
-  re-verified before anything is served or written:
+  patches its index with the changed records only. Records are frozen
+  and keep their canonical strings, so every fingerprint below streams
+  over strings already rendered and only the patched records are
+  serialized, once each. The global fingerprint is recomputed over the
+  merged stream and re-verified before anything is served or written:
   :func:`~repro.serve.shard.verify_sharded`, the same verifier a load
   runs, re-derives the touched shards' fingerprints, the routing
   invariant, and the global fingerprint. The disk half is

@@ -40,6 +40,7 @@ garbage collection for the content-addressed store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro._util.artifacts import content_digest
 from repro._util.profiling import StageTimings
@@ -270,6 +271,15 @@ class IngestScheduler:
 
     # -- the per-domain delta path ---------------------------------------
 
+    @cached_property
+    def _cascade(self):
+        """The cascade model every annotate step of this scheduler uses,
+        resolved at the first one (``None`` unless the options select the
+        cascade)."""
+        from repro.pipeline.cascade import cascade_model_for
+
+        return cascade_model_for(self.options)
+
     def _ingest(self, domain: str, input_fp: str,
                 previous: DomainState | None) -> DomainAnnotations:
         """Re-ingest one changed (or new) domain through the cache layers.
@@ -306,7 +316,7 @@ class IngestScheduler:
                 self.counters.increment("ingest.annotate_reused")
             else:
                 entry = annotate_crawl(corpus, domain, crawl, self.options,
-                                       self.counters)
+                                       self.counters, cascade=self._cascade)
                 if crawl.outcome == "ok":
                     self.counters.increment("ingest.annotated")
             cache.store_record(record_key, entry)

@@ -189,6 +189,16 @@ def get_cascade_model(options) -> CascadeModel:
     return model
 
 
+def cascade_model_for(options) -> CascadeModel | None:
+    """The model a run over ``options`` hands every domain's
+    :class:`FastPath`, or ``None`` when the run does not annotate with the
+    cascade. A run resolves it once: each resolution re-derives
+    :func:`cascade_model_token`, which renders and hashes every lexicon
+    table."""
+    return get_cascade_model(options) if options.annotator == "cascade" \
+        else None
+
+
 def _train_cascade_model(options, token: str) -> CascadeModel:
     # Imported here: runner/corpus import this module's public names.
     from repro.corpus import CorpusConfig, build_corpus
@@ -418,13 +428,13 @@ class FastPath:
     reaches the line's threshold and escalates the line otherwise;
     :mod:`repro.pipeline.annotate` does the rest. ``fast_segments`` and
     ``escalated_segments`` count every line a split saw, fallback text
-    included.
+    included. ``cascade_model`` is the run's (:func:`cascade_model_for`).
     """
 
-    def __init__(self, options, model, index: DocumentIndex):
+    def __init__(self, cascade_model: CascadeModel, options, model,
+                 index: DocumentIndex):
         a_options = options.annotate_options()
         self._base, self._strict = effective_thresholds(a_options)
-        cascade_model = get_cascade_model(options)
         self._annotator = cascade_model.annotator
         self._verdicts = cascade_model.verdict_cache
         self._index = index

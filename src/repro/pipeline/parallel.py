@@ -200,11 +200,15 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
     With ``cache``/``keys`` set, every completed domain is checkpointed to
     the content-addressed store via an atomic temp-file + rename as soon
     as it finishes, so a shard that dies mid-run loses at most the domain
-    in flight; a resumed run replays the finished ones from disk.
+    in flight; a resumed run replays the finished ones from disk. A
+    cascade run resolves its model once, here, for every domain.
     """
+    from repro.pipeline.cascade import cascade_model_for
+
     outcome = ShardOutcome(index=index, domains=list(domains))
     crawler = PrivacyCrawler(Browser(internet=corpus.internet))
     detector = LanguageDetector()
+    cascade = cascade_model_for(options)
     if cache is not None:
         from repro.pipeline.cache import process_domain_cached
     with corpus.internet.record_stats() as stats:
@@ -212,7 +216,7 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
             if cache is not None:
                 record, trace, ptok, ctok = process_domain_cached(
                     corpus, crawler, domain, options, outcome.timings,
-                    cache, keys, detector=detector)
+                    cache, keys, detector=detector, cascade=cascade)
                 outcome.prompt_tokens += ptok
                 outcome.completion_tokens += ctok
             else:
@@ -221,7 +225,8 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
                     crawl = crawler.crawl_domain(domain)
                 record, trace = process_crawl(corpus, crawl, model, options,
                                               timings=outcome.timings,
-                                              detector=detector)
+                                              detector=detector,
+                                              cascade=cascade)
                 outcome.prompt_tokens += model.usage.prompt_tokens
                 outcome.completion_tokens += model.usage.completion_tokens
             outcome.records.append(record)

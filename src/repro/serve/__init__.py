@@ -18,9 +18,9 @@ interactive latency, offline-benchmarkable at production shape:
 6. :mod:`repro.serve.chaos` — deterministic fault injection with
    shed-never-stall / never-a-wrong-byte / recover invariants checked
    against a fault-free oracle.
-7. :mod:`repro.serve.shard` — hash-partitioned snapshots, indexed shard
-   by shard and served from one merged index, so sharded answers are
-   byte-identical to the single-index engine.
+7. :mod:`repro.serve.shard` — hash-partitioned snapshots, served from
+   one index of their merged records (shards are only a storage layout),
+   so sharded answers are byte-identical to the single-index engine.
 8. :mod:`repro.serve.aserver` — asyncio front end with API-key tenancy
    and per-tenant admission control.
 """

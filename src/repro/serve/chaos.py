@@ -34,7 +34,7 @@ seeded chaos harness:
 
   With ``ServerConfig.shards > 1`` the faulty server serves a sharded
   snapshot while the oracle stays a single-index engine, so the same
-  byte diff also checks the merged shard index under fire.
+  byte diff also checks the sharded engine's index under fire.
 
 The reusable blueprint — deterministic fault schedule + oracle diffing +
 invariant ledger — is exactly the shape a training/inference serving
@@ -434,7 +434,7 @@ def run_chaos(snapshot: CorpusSnapshot, plan: FaultPlan, *,
     A ``server_config`` with ``shards > 1`` runs the same protocol
     against a sharded server while the oracle stays a *single-index*
     engine over the unpartitioned snapshot — so the diff simultaneously
-    checks fault containment and the merged shard index's byte-identity
+    checks fault containment and the sharded engine's byte-identity
     under fire.
     """
     workload_config = workload_config or WorkloadConfig(seed=plan.seed,

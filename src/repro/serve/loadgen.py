@@ -102,8 +102,8 @@ def generate_workload(index: CorpusIndex,
     kinds = [kind for kind, _ in config.mix]
     shares = [share for _, share in config.mix]
     # Deterministic atom pool for predicate generation: the index's atom
-    # catalog in (aspect, atom-key) order — identical for a single index
-    # and any sharded merge of the same corpus.
+    # catalog in (aspect, atom-key) order — identical for an unsharded and
+    # a sharded server of the same corpus.
     atom_pool = [atom for aspect in sorted(index.atoms_by_aspect)
                  for atom in index.atoms_by_aspect[aspect]]
 

@@ -32,7 +32,7 @@ pure and deterministic: the same query against the same snapshot always
 yields the same :class:`QueryResult`, whose :meth:`QueryResult.to_json`
 is byte-stable.
 :class:`QueryEngine` is the only executor: a sharded snapshot is served
-by the same handlers over the merge of its shard indexes.
+by the same handlers over one index of its merged records.
 """
 
 from __future__ import annotations
@@ -264,7 +264,8 @@ class QueryEngine:
 
     The one query path for both snapshot shapes: a sharded deployment
     (:class:`repro.serve.shard.ShardedEngine`) runs these same handlers
-    over the :meth:`CorpusIndex.merge` of its shard indexes.
+    over one ``CorpusIndex`` of its merged records, built or patched
+    (:meth:`CorpusIndex.patched`) exactly as an unsharded one is.
     """
 
     def __init__(self, index: "CorpusIndex"):

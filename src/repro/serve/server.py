@@ -29,11 +29,11 @@ any worker count serves byte-identical bodies.
 
 **Sharded serving.** With ``ServerConfig.shards > 1`` (or an
 already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
-server builds one index per shard and executes through
-:class:`~repro.serve.shard.ShardedEngine`, whose index is their merge —
-a ``CorpusIndex`` equal to the single index, so ``server.index`` is a
-``CorpusIndex`` either way. It reports per-shard traffic in the metrics
-counters (``serve.shard.<i>.queries`` for domain lookups,
+server executes through :class:`~repro.serve.shard.ShardedEngine`, whose
+index is the one ``CorpusIndex`` of the merged records, so
+``server.index`` is a ``CorpusIndex`` either way and shards are only a
+storage layout. It reports per-shard traffic in the metrics counters
+(``serve.shard.<i>.queries`` for domain lookups,
 ``serve.scatter.queries`` for queries over the whole corpus).
 
 **Fault seams.** The server exposes explicit, documented seams for the
@@ -62,8 +62,9 @@ built without them. Two hardening behaviours back the chaos invariants:
 (snapshot, shard set, engine and its index, fingerprint) lives in one
 immutable :class:`_Generation` object held in a single attribute.
 :meth:`AnnotationServer.swap_snapshot` builds the next generation fully
-off to the side (reusing unchanged shard indexes from the old one) and
-installs it with one attribute store — atomic under the GIL, so no
+off to the side (its index patched, copy-on-write, from the old one's
+with only the records that changed) and installs it with one attribute
+store — atomic under the GIL, so no
 request ever observes a half-built index. Each request captures the
 generation exactly once and serves entirely from that capture: in-flight
 queries finish on the old index (the capture keeps it alive), new
@@ -88,8 +89,8 @@ from dataclasses import dataclass
 from repro._util.profiling import StageTimings
 from repro.errors import QueryError, ServeError
 from repro.serve.query import Query, query_fingerprint, query_kind
-from repro.serve.shard import ShardedEngine, ShardedSnapshot, \
-    engine_for, partition_snapshot
+from repro.serve.shard import ShardedSnapshot, engine_for, \
+    partition_snapshot
 from repro.serve.snapshot import CorpusSnapshot
 
 #: Response statuses.
@@ -114,11 +115,12 @@ class ServerConfig:
     #: beyond this the counters still advance but samples are dropped,
     #: keeping long-running servers at bounded memory.
     max_latency_samples: int = 100_000
-    #: Index shards; >1 partitions the snapshot by domain hash, builds one
-    #: index per shard and serves their merge through
-    #: :class:`~repro.serve.shard.ShardedEngine` (byte-identical to a
-    #: single index). Ignored when the server is handed an
-    #: already-partitioned ShardedSnapshot.
+    #: Index shards; >1 partitions the snapshot by domain hash and serves
+    #: it through :class:`~repro.serve.shard.ShardedEngine`, over one
+    #: index of the merged records (byte-identical to the unsharded
+    #: server; the shards only lay out storage and count routed reads).
+    #: Ignored when the server is handed an already-partitioned
+    #: ShardedSnapshot.
     shards: int = 1
 
     def __post_init__(self) -> None:
@@ -340,9 +342,9 @@ class SwapReport:
 
     old_fingerprint: str
     new_fingerprint: str
-    #: Shard indexes adopted from the old generation (content unchanged).
+    #: Shards whose content the old generation already served.
     shards_reused: int
-    #: Shard indexes built fresh (0/1 totals for unsharded servers).
+    #: Shards with new content (0/1 totals for unsharded servers).
     shards_rebuilt: int
     #: Seconds spent building the new generation before the install.
     build_s: float = 0.0
@@ -366,19 +368,17 @@ def _build_generation(snapshot, config: ServerConfig,
                       reuse: _Generation | None = None) -> _Generation:
     """Assemble a generation off to the side; nothing is installed here.
 
-    ``reuse`` (the outgoing generation) lets a sharded build adopt the
-    old engine's indexes for shards whose content fingerprint is
-    unchanged — the incremental-refresh fast path.
+    ``reuse`` (the outgoing generation) makes the new index a patch of
+    the old engine's, sharded or not: only the records that changed are
+    re-indexed.
     """
     served = snapshot
     if not isinstance(snapshot, ShardedSnapshot) and config.shards > 1:
         served = partition_snapshot(snapshot, config.shards)
-    reuse_engine = reuse.engine if reuse is not None \
-        and isinstance(reuse.engine, ShardedEngine) else None
     return _Generation(
         snapshot=snapshot,
         sharded=served if isinstance(served, ShardedSnapshot) else None,
-        engine=engine_for(served, reuse_from=reuse_engine),
+        engine=engine_for(served, reuse_from=reuse and reuse.engine),
         fingerprint=served.fingerprint)
 
 
@@ -457,10 +457,10 @@ class AnnotationServer:
         after the store serve from the new one; no request is dropped and
         none can observe a mix. Old hot-cache entries stay behind their
         old fingerprint prefix (structurally unreachable, evicted by
-        TTL/LRU), and a swap to unchanged content keeps hitting them. A
-        sharded build adopts the old generation's index for every shard
-        whose content is unchanged. Callable whether or not the server is
-        started.
+        TTL/LRU), and a swap to unchanged content keeps hitting them. The
+        new index is patched from the old one with only the records that
+        changed, for a sharded and an unsharded server alike. Callable
+        whether or not the server is started.
         """
         old = self._gen
         started = self._clock()
@@ -468,11 +468,8 @@ class AnnotationServer:
         build_s = self._clock() - started
         self._gen = new
         self.metrics.increment("serve.swap.count")
-        if new.sharded is not None:
-            reused = getattr(new.engine, "reused_shards", 0)
-            rebuilt = len(new.sharded.shards) - reused
-        else:
-            reused, rebuilt = 0, 1
+        reused = getattr(new.engine, "reused_shards", 0)
+        rebuilt = (new.sharded.shard_count if new.sharded else 1) - reused
         self.metrics.increment("serve.swap.shards_reused", reused)
         self.metrics.increment("serve.swap.shards_rebuilt", rebuilt)
         return SwapReport(old_fingerprint=old.fingerprint,

@@ -1,29 +1,25 @@
 """Sharded snapshots and the sharded query engine.
 
 Horizontal structure for the serving layer: a :class:`CorpusSnapshot`
-is partitioned by **domain hash** into N independently-loadable shards,
-each of which builds its own :class:`~repro.serve.index.CorpusIndex`
-(inverted indexes, atom posting lists, per-rule verdict rows). Only the
-index *build* is split across shards; the query path is not:
+is partitioned by **domain hash** into N independently-loadable shards.
+Shards are the unit of files, refresh and verification; they are only a
+storage layout for serving, which indexes the merged record stream once:
 
 - **Routing.** ``shard_for_domain`` is a stable SHA-256 placement (never
   Python's randomized ``hash``), so a domain's shard is a pure function
   of ``(domain, shard_count)`` — the same on every host, every process,
   every run. ``ShardedEngine.route`` names the one shard a
   ``DomainLookup`` reads, for per-shard traffic counters.
-- **One merged index.** :class:`ShardedEngine` is a
-  :class:`~repro.serve.query.QueryEngine` whose index is
-  :meth:`CorpusIndex.merge` of its shard indexes, taken once at build
-  time: equal field for field to ``CorpusIndex.build`` over the
-  unsharded snapshot, so every query class runs through the one engine
-  and its answers are byte-identical by construction.
-- **Incremental rebuilds.** A shard index is a pure function of its
-  shard's records, so a refreshed shard set adopts the previous
-  engine's index for every shard whose content fingerprint is unchanged
-  (``reuse_from``) and builds only the touched ones before the merge;
-  a touched shard takes the compiled forms and verdict rows of the
-  records the previous generation held from that generation's index,
-  so only the patched records are compiled and evaluated.
+- **One index.** :class:`ShardedEngine` is a
+  :class:`~repro.serve.query.QueryEngine` over one
+  :class:`~repro.serve.index.CorpusIndex` of the merged snapshot, so
+  every query class runs through the one engine and its answers are
+  byte-identical to the unsharded engine by construction.
+- **Patched swaps.** Given the previous generation's engine
+  (``reuse_from``), the index is
+  :meth:`~repro.serve.index.CorpusIndex.patched` from that engine's
+  index: only the records that changed are re-indexed, compiled and
+  rule-checked, whichever shards they sit on.
 
 The on-disk layout is a directory: a ``manifest.json`` naming the shard
 files, their fingerprints, and the **global** corpus fingerprint, plus
@@ -313,53 +309,32 @@ def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
 class ShardedEngine(QueryEngine):
     """A :class:`~repro.serve.query.QueryEngine` over a shard set.
 
-    Each shard gets its own part index
-    (:meth:`~repro.serve.index.CorpusIndex.build_part`, no tables);
-    ``index`` is their :meth:`~repro.serve.index.CorpusIndex.merge`, a
-    real ``CorpusIndex`` equal to one built over the unsharded snapshot,
-    so ``execute`` is byte-identical to
+    ``index`` is one :class:`~repro.serve.index.CorpusIndex` over the
+    merged snapshot, so ``execute`` is byte-identical to
     ``QueryEngine(CorpusIndex.build(snapshot)).execute`` for every query
     class — the differential suite and ``bench_serve_sharded`` hold it to
     that.
 
-    ``reuse_from`` is the incremental-refresh seam: pass the engine built
-    over the *previous* snapshot generation and any shard whose content
-    fingerprint is unchanged adopts the old engine's already-built shard
-    index instead of rebuilding it, and a rebuilt shard takes the forms
-    and verdict rows of the records the old engine held (as the same
-    objects) from its merged index. Safe because a shard index is a pure
-    function of the shard snapshot's records (which determine its
-    fingerprint), a form and its rows are pure functions of the frozen
-    record, and all are read-only after build; ``reused_shards`` reports
-    how many rebuilds were skipped. The new engine keeps no reference to
-    ``reuse_from``, so a replaced generation is freed as soon as its last
-    reader lets go.
+    ``reuse_from`` is the live-swap seam: pass the engine serving the
+    *previous* generation (sharded or not) and the index is patched from
+    its index instead of built (:meth:`CorpusIndex.patched`), so only the
+    records that changed are re-indexed. ``reused_shards`` counts the
+    shards whose content fingerprint the previous engine also served.
+    The new engine keeps no reference to ``reuse_from``, so a replaced
+    generation is freed as soon as its last reader lets go.
     """
 
     def __init__(self, sharded: ShardedSnapshot,
-                 reuse_from: "ShardedEngine | None" = None):
-        reusable: dict[str, CorpusIndex] = {}
-        previous = None
-        if reuse_from is not None:
-            previous = reuse_from.index
-            for index in reuse_from.shard_indexes:
-                reusable[index.snapshot.fingerprint] = index
-        self.reused_shards = 0
-        self.shard_indexes = []
-        for shard in sharded.shards:
-            cached = reusable.get(shard.fingerprint)
-            if cached is not None:
-                self.shard_indexes.append(cached)
-                self.reused_shards += 1
-            else:
-                self.shard_indexes.append(
-                    CorpusIndex.build_part(shard, previous))
-        super().__init__(CorpusIndex.merge(self.shard_indexes,
-                                           merged_snapshot(sharded)))
+                 reuse_from: "QueryEngine | None" = None):
+        self.shard_fingerprints = [s.fingerprint for s in sharded.shards]
+        served = set(getattr(reuse_from, "shard_fingerprints", ()))
+        self.reused_shards = sum(f in served for f in self.shard_fingerprints)
+        super().__init__(CorpusIndex.patched(
+            reuse_from and reuse_from.index, merged_snapshot(sharded)))
 
     @property
     def shard_count(self) -> int:
-        return len(self.shard_indexes)
+        return len(self.shard_fingerprints)
 
     def route(self, query: Query) -> int | None:
         """The one shard a domain lookup reads, or ``None`` for a query
@@ -370,15 +345,16 @@ class ShardedEngine(QueryEngine):
 
 
 def engine_for(snapshot: "CorpusSnapshot | ShardedSnapshot",
-               reuse_from: ShardedEngine | None = None):
+               reuse_from: "QueryEngine | None" = None):
     """Query engine for either snapshot shape; answers are byte-identical.
 
-    ``reuse_from`` is passed to :class:`ShardedEngine` for a sharded
-    snapshot (see its incremental-refresh seam).
+    ``reuse_from`` is the engine serving the previous generation, of
+    either shape: the new index is patched from its index.
     """
     if isinstance(snapshot, ShardedSnapshot):
         return ShardedEngine(snapshot, reuse_from=reuse_from)
-    return QueryEngine(CorpusIndex.build(snapshot))
+    return QueryEngine(CorpusIndex.patched(reuse_from and reuse_from.index,
+                                           snapshot))
 
 
 __all__ = [

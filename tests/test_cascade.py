@@ -17,6 +17,7 @@ from repro.pipeline import (
     AnnotateOptions,
     CacheKeys,
     PipelineOptions,
+    annotate_policies_text,
     cascade_model_token,
     effective_thresholds,
     get_cascade_model,
@@ -115,6 +116,34 @@ class TestModelProvenance:
         assert model.train_domains > 0
         assert model.train_records > 0
         assert model.annotator.lexicon_size > 100
+
+    def test_model_resolved_once_per_run(self, small_corpus, cascade_result,
+                                         monkeypatch):
+        """A run resolves its cascade model once, not once per domain:
+        each resolution re-derives the token, which renders and hashes
+        every lexicon table."""
+        from repro.chatbot import lexicon
+
+        calls = []
+        fingerprint = lexicon.lexicon_fingerprint
+        monkeypatch.setattr(lexicon, "lexicon_fingerprint",
+                            lambda: calls.append(1) or fingerprint())
+        counts = []
+        for size in (6, 12):
+            calls.clear()
+            run_pipeline(small_corpus, CASCADE,
+                         domains=small_corpus.domains[:size])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+        # The batch document API resolves it once per call.
+        counts = []
+        for size in (2, 4):
+            calls.clear()
+            annotate_policies_text(
+                {f"doc{i}.example": "We collect your email address to "
+                 "send you newsletters." for i in range(size)}, CASCADE)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 # -- cache keys ---------------------------------------------------------------

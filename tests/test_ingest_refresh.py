@@ -253,8 +253,10 @@ class TestShardedEngineReuse:
                 fresh.execute(query).to_json()
 
     def test_reuse_from_unrelated_engine_rebuilds(self):
-        """Reuse is keyed by shard fingerprint: only shards with equal
-        content (here, at most empty ones) may share an index."""
+        """Unchanged shards are counted by content fingerprint: only
+        shards with equal content (here, at most empty ones) count, and
+        the index patched from an unrelated engine answers as a fresh
+        one."""
         sharded = partition_snapshot(_snapshot(12), 4)
         other_sharded = partition_snapshot(_snapshot(5), 4)
         other = ShardedEngine(other_sharded)

@@ -1,13 +1,13 @@
 """Frozen records, their memoized canonical JSON, and delta-cost swaps.
 
 A :class:`DomainAnnotations` record is frozen and renders its canonical
-JSON once; a swap takes the compiled forms and verdict rows of records
-the previous generation held from that generation. These tests pin that
-the memo changes no byte (the streamed fingerprint equals the old
-payload-list digest), that a decoded record is fingerprinted as decoded,
-that reuse builds the index a fresh build does, and that a K-record
-refresh plus swap serializes and compiles only the K patched records,
-whatever N is.
+JSON once; a swap patches the previous generation's index with the
+records that changed. These tests pin that the memo changes no byte (the
+streamed fingerprint equals the old payload-list digest), that a decoded
+record is fingerprinted as decoded, that the patched index equals a
+fresh build, and that a K-record refresh plus swap serializes, compiles
+and re-indexes only the K patched records, whatever N is, sharded or
+not.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import repro.serve.index as index_mod
 from repro._util.artifacts import canonical_json, content_digest, \
     write_json_atomic
 from repro.errors import SnapshotError
-from repro.ingest import RecordPatch, apply_patches_sharded, verify_sharded
+from repro.ingest import RecordPatch, apply_patches, apply_patches_sharded, \
+    verify_sharded
 from repro.pipeline.records import (
     DomainAnnotations,
     HandlingAnnotation,
@@ -180,43 +181,54 @@ class TestShardedLoad:
         assert calls == []
 
 
-def test_reused_forms_and_rows_equal_a_fresh_build():
-    """A swap that takes unchanged records' forms and verdict rows from
-    the previous generation builds the index a from-scratch build does,
-    field for field, through an edit, a removal and a launch."""
+@pytest.mark.parametrize("shards", [1, 4])
+def test_reused_forms_and_rows_equal_a_fresh_build(shards):
+    """A swap patches the previous generation's index, and the result is
+    the index a from-scratch build gives, field for field, through an
+    edit, a removal, a launch and an equal copy, sharded or not."""
     golden = read_jsonl(GOLDEN_RECORDS)
-    sharded = partition_snapshot(build_snapshot(golden), 4)
-    server = AnnotationServer(sharded, ServerConfig(shards=4))
+    snapshot = build_snapshot(golden)
+    served = partition_snapshot(snapshot, shards) if shards > 1 else snapshot
+    server = AnnotationServer(served, ServerConfig(shards=shards))
     first, second, third = (record.domain for record in golden[:3])
     edited = dataclasses.replace(
         golden[0], rights=golden[0].rights[1:], status="no-annotations")
     launched = dataclasses.replace(golden[1], domain="zz-launched.example")
-    refreshed = apply_patches_sharded(sharded, [
+    patches = [
         RecordPatch.upsert(first, edited),
         RecordPatch.remove(second),
         RecordPatch.upsert(launched.domain, launched),
-        RecordPatch.upsert(third, dataclasses.replace(golden[2]))]).sharded
+        RecordPatch.upsert(third, dataclasses.replace(golden[2]))]
+    if shards > 1:
+        refreshed = apply_patches_sharded(served, patches).sharded
+        expected = merged_snapshot(refreshed)
+    else:
+        refreshed = expected = apply_patches(served, patches)
     report = server.swap_snapshot(refreshed)
     assert report.shards_rebuilt >= 1
-    rebuilt = CorpusIndex.build(merged_snapshot(refreshed))
+    rebuilt = CorpusIndex.build(expected)
     for field in dataclasses.fields(CorpusIndex):
         assert getattr(server.index, field.name) == \
             getattr(rebuilt, field.name), field.name
 
 
-def _delta_costs(n: int, monkeypatch) -> tuple[int, list[str]]:
-    """Serializations in one 3-patch refresh and compilations in its
-    swap, over ``n`` records in 4 shards."""
-    sharded = partition_snapshot(
-        build_snapshot([_record(f"site{i}.com") for i in range(n)]), 4)
-    server = AnnotationServer(sharded, ServerConfig(shards=4))
+def _delta_costs(n: int, shards: int,
+                 monkeypatch) -> tuple[int, list[str], list[str]]:
+    """Serializations in one 3-patch refresh, and the records its swap
+    compiles and whose contributions it applies, over ``n`` records
+    served in ``shards`` shards (1: an unsharded server)."""
+    snapshot = build_snapshot([_record(f"site{i}.com") for i in range(n)])
+    served = partition_snapshot(snapshot, shards) if shards > 1 else snapshot
+    server = AnnotationServer(served, ServerConfig(shards=shards))
     patches = [RecordPatch.upsert(f"site{i}.com",
                                   _record(f"site{i}.com", f"edit {i}"))
                for i in (0, 1, 2)]
     serialized: list[str] = []
     compiled: list[str] = []
+    contributed: list[str] = []
     to_json = DomainAnnotations.to_json
     compile_record = index_mod.compile_record
+    record_contribution = index_mod.record_contribution
     monkeypatch.setattr(
         DomainAnnotations, "to_json",
         lambda self: serialized.append(self.domain) or to_json(self))
@@ -224,20 +236,32 @@ def _delta_costs(n: int, monkeypatch) -> tuple[int, list[str]]:
         index_mod, "compile_record",
         lambda record: compiled.append(record.domain)
         or compile_record(record))
-    refreshed = apply_patches_sharded(sharded, patches).sharded
+    monkeypatch.setattr(
+        index_mod, "record_contribution",
+        lambda record, form: contributed.append(record.domain)
+        or record_contribution(record, form))
+    if shards > 1:
+        refreshed = apply_patches_sharded(served, patches).sharded
+    else:
+        refreshed = apply_patches(served, patches)
     refresh_serialized = len(serialized)
     report = server.swap_snapshot(refreshed)
-    assert report.shards_reused + report.shards_rebuilt == 4
+    assert report.shards_reused + report.shards_rebuilt == shards
     assert len(serialized) == refresh_serialized  # the swap renders none
     monkeypatch.undo()
-    return refresh_serialized, sorted(compiled)
+    return refresh_serialized, sorted(compiled), sorted(contributed)
 
 
 def test_refresh_and_swap_cost_the_delta_not_the_corpus(monkeypatch):
-    small = _delta_costs(12, monkeypatch)
-    large = _delta_costs(48, monkeypatch)
-    # Each patched record is serialized at most once, and only the
-    # patched records are compiled, at either corpus size.
-    assert small[0] <= 3
-    assert small[1] == ["site0.com", "site1.com", "site2.com"]
-    assert small == large
+    patched = ["site0.com", "site1.com", "site2.com"]
+    for shards in (4, 1):
+        small = _delta_costs(12, shards, monkeypatch)
+        large = _delta_costs(48, shards, monkeypatch)
+        # Each patched record is serialized at most once, and only the
+        # patched records are compiled, at either corpus size.
+        assert small[0] <= 3, shards
+        assert small[1] == patched, shards
+        # The swap takes away each replaced record's contribution and
+        # adds its new one's; no other record is re-indexed.
+        assert small[2] == sorted(patched * 2), shards
+        assert small == large, shards

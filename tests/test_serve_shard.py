@@ -1,4 +1,4 @@
-"""Sharded serving: routing, round trips, merged-index byte-identity.
+"""Sharded serving: routing, round trips, one-index byte-identity.
 
 The differential suite is the contract: for every query class, a
 sharded deployment's responses must be byte-identical to the
@@ -327,11 +327,11 @@ class TestShardedWriter:
 
 
 class TestMergedViews:
-    """ShardedEngine's index is the merge of its shard indexes."""
+    """ShardedEngine's index is one index over the merged records."""
 
     def test_merged_views_match_single_index(self, golden_snapshot):
-        """Every CorpusIndex field of the merge equals the single
-        index's, at every shard count."""
+        """Every CorpusIndex field of the sharded engine's index equals
+        the single index's, at every shard count."""
         single = CorpusIndex.build(golden_snapshot)
         for shards in SHARD_COUNTS:
             merged = ShardedEngine(
