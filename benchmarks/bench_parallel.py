@@ -6,7 +6,9 @@ Two comparisons on the same corpus:
 
 * **preprocess overhaul** — the pre-overhaul stage, reconstructed here
   (no raw-HTML-bytes dedupe tier, per-language stopword counting passes,
-  no short-text early exit, no memoized detector) vs the shipped one.
+  no short-text early exit, a second parse of each page the crawler
+  read links from, a second tokenization for the mixed-language scan)
+  vs the shipped one.
   Byte-identical records are asserted; only the clock may differ.
 * **backend scaling** — end-to-end wall clock for the serial, thread, and
   process backends at ``--workers`` workers. The process backend is the
@@ -119,10 +121,10 @@ def _legacy_drop_reason(page, seen_urls):
     return None
 
 
-def _legacy_preprocess_crawl(crawl, detector=None) -> PreprocessResult:
-    """The seed's stage: every surviving page is rendered and language-
-    detected, even byte-identical twins; nothing is memoized. ``detector``
-    is accepted (the runner threads one through) and ignored."""
+def _legacy_preprocess_crawl(crawl) -> PreprocessResult:
+    """The seed's stage: every surviving page is parsed again, rendered
+    and language-detected, even byte-identical twins, and a multi-window
+    page is tokenized twice."""
     result = PreprocessResult(domain=crawl.domain)
     seen_urls: set[str] = set()
     seen_hashes: set[str] = set()

@@ -63,7 +63,14 @@ def normalize_for_match(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split normalized text into lower-case alphanumeric tokens."""
+    """Split normalized text into lower-case alphanumeric tokens.
+
+    ASCII text is only lower-cased: :func:`normalize_for_match` would
+    also collapse its whitespace, and no token holds whitespace, so the
+    tokens are the same.
+    """
+    if text.isascii():
+        return _TOKEN_RE.findall(text.lower())
     return _TOKEN_RE.findall(normalize_for_match(text))
 
 

@@ -13,6 +13,13 @@ Strategy, per domain:
 
 Every navigation is recorded; *potential privacy pages* are the non-homepage
 fetches that returned HTTP status < 400.
+
+A page's HTML is parsed once, on first use: :attr:`PageRecord.tree` is the
+tree the crawler reads links from and the tree pre-processing renders. It
+lives as long as the page record, which the pipeline drops with its
+domain; :func:`crawl_all` and the executor's ``crawl_domains``, which keep
+every crawl, drop the trees (:meth:`CrawlResult.drop_trees`) as each
+domain finishes.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crawler.links import (
-    extract_links,
+    extract_links_from_tree,
     footer_privacy_links,
     same_site,
     top_privacy_links,
 )
 from repro.errors import FetchError, RobotsDisallowedError
+from repro.htmlkit.dom import Element, parse_html
 from repro.web.browser import Browser, PageResult
 from repro.web.url import normalize_url
 
@@ -52,6 +60,16 @@ class PageRecord:
     @property
     def is_pdf(self) -> bool:
         return self.content_type == "application/pdf"
+
+    @property
+    def tree(self) -> Element:
+        """The parsed HTML, parsed on first use and kept on the record
+        outside its fields, so equality, ``repr`` and ``asdict`` never
+        see it."""
+        tree = self.__dict__.get("_tree")
+        if tree is None:
+            tree = self.__dict__["_tree"] = parse_html(self.html)
+        return tree
 
 
 @dataclass
@@ -85,6 +103,12 @@ class CrawlResult:
     def errors(self) -> list[str]:
         return [page.error for page in self.pages if page.error]
 
+    def drop_trees(self) -> None:
+        """Forget every page's parsed tree, for a caller that keeps the
+        crawl past its domain; a later use parses the page again."""
+        for page in self.pages:
+            page.__dict__.pop("_tree", None)
+
 
 class PrivacyCrawler:
     """Runs the §3.1 strategy against a browser."""
@@ -103,7 +127,8 @@ class PrivacyCrawler:
 
         # Step 2: footer privacy links from the homepage.
         if homepage is not None and homepage.ok:
-            links = extract_links(homepage.html, homepage.final_url)
+            links = extract_links_from_tree(homepage.tree,
+                                            homepage.final_url)
             for link in footer_privacy_links(links, MAX_FOOTER_LINKS):
                 if not same_site(link.url, domain):
                     continue
@@ -122,7 +147,7 @@ class PrivacyCrawler:
         for page in list(candidate_pages):
             if not page.ok or page.is_pdf:
                 continue
-            links = extract_links(page.html, page.final_url)
+            links = extract_links_from_tree(page.tree, page.final_url)
             for link in top_privacy_links(links, MAX_TOP_LINKS):
                 if not same_site(link.url, domain):
                     continue
@@ -174,7 +199,8 @@ def crawl_all(browser: Browser, domains: list[str],
     crawler = PrivacyCrawler(browser)
     results: dict[str, CrawlResult] = {}
     for index, domain in enumerate(domains):
-        results[domain] = crawler.crawl_domain(domain)
+        results[domain] = crawl = crawler.crawl_domain(domain)
+        crawl.drop_trees()
         if progress is not None:
             progress(index + 1, len(domains), domain)
     return results

@@ -45,7 +45,14 @@ def extract_links(html: str, base_url: str) -> list[Link]:
 
 def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
     base = parse_url(base_url)
-    anchors = root.find_all("a")
+    # One walk finds the anchors and whether the page has a footer at all.
+    anchors: list[Element] = []
+    has_footer = False
+    for element in root.iter():
+        if element.tag == "a":
+            anchors.append(element)
+        elif element.tag == "footer":
+            has_footer = True
     links: list[Link] = []
     footer_less_cutoff = max(1, int(len(anchors) * 0.9))
     for index, anchor in enumerate(anchors):
@@ -58,8 +65,9 @@ def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
             continue
         if not resolved.is_absolute:
             continue
-        in_footer = anchor.has_ancestor("footer")
-        if not in_footer and not _has_any_footer(root):
+        if has_footer:
+            in_footer = anchor.has_ancestor("footer")
+        else:
             in_footer = index >= footer_less_cutoff
         links.append(
             Link(
@@ -69,10 +77,6 @@ def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
             )
         )
     return links
-
-
-def _has_any_footer(root: Element) -> bool:
-    return root.find("footer") is not None
 
 
 def footer_privacy_links(links: list[Link], limit: int = 3) -> list[Link]:

@@ -47,7 +47,6 @@ from repro._util.profiling import StageTimings
 from repro._util.rng import stable_hash
 from repro.errors import IngestError
 from repro.ingest.refresh import RecordPatch
-from repro.lang import LanguageDetector
 from repro.pipeline.cache import (
     CachedCrawl,
     CachedRecord,
@@ -165,7 +164,6 @@ class IngestScheduler:
         self.round_no = 0
         self._triggered: set[str] = set()
         self._crawler = PrivacyCrawler(Browser(internet=corpus.internet))
-        self._detector = LanguageDetector()
 
     # -- watch-set management --------------------------------------------
 
@@ -306,8 +304,7 @@ class IngestScheduler:
                 if crawl is not None else None
         else:
             crawl = load_or_crawl(corpus, self._crawler, domain,
-                                  self.counters, cache, keys,
-                                  detector=self._detector)
+                                  self.counters, cache, keys)
             content_fp = crawl_content_fingerprint(sector, crawl)
             if previous is not None and previous.content_fp == content_fp:
                 entry = CachedRecord(record=previous.record,

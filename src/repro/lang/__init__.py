@@ -1,17 +1,17 @@
 """Language identification for crawled pages."""
 
 from repro.lang.detect import (
-    LanguageDetector,
     LanguageGuess,
     detect_language,
     is_english,
     is_mixed_language,
+    page_language,
 )
 
 __all__ = [
-    "LanguageDetector",
     "LanguageGuess",
     "detect_language",
     "is_english",
     "is_mixed_language",
+    "page_language",
 ]

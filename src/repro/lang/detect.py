@@ -7,28 +7,30 @@ prose is stopword-dense, so counting high-frequency function words across a
 handful of languages separates them cleanly, and CJK content is detected by
 script.
 
-Detection sits on the pre-processing hot path (it runs over every retained
-page *and* over every window of the mixed-language scan), so the scoring
-pass is written to touch each token once:
+Detection sits on the pre-processing hot path, so the scoring pass is
+written to touch each token once:
 
 - ASCII text skips the non-Latin script scan entirely (the share is zero
   by construction).
 - ASCII text too short to contain the detector's minimum token count
   returns ``"und"`` before tokenizing at all.
-- Stopword hits for all languages are counted in a single pass over the
-  tokens via a reverse token → languages table, instead of one pass per
-  language.
+- Stopword hits for all languages are read from one
+  :class:`collections.Counter` of the tokens, instead of one counting
+  pass per language.
 
 All three are pure fast paths: the returned language and scores are
-identical to the naive implementation. :class:`LanguageDetector` adds a
-bounded per-instance memo on top, for callers (one instance per executor
-shard) that re-detect identical text, e.g. the whole-document guess
-followed by a single-window mixed-language scan over the same lines.
+identical to the naive implementation. Pre-processing asks two questions
+of every page — its language, and whether its 40-line windows disagree —
+and :func:`page_language` answers both from one tokenization of the
+page's lines, with :func:`detect_language` and :func:`is_mixed_language`
+as its reference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from repro._util.textproc import tokenize
 
@@ -55,15 +57,10 @@ _STOPWORDS: dict[str, frozenset[str]] = {
     ),
 }
 
-#: Reverse index: token → languages whose stopword list contains it, so one
-#: pass over the tokens scores every language at once.
-_STOPWORD_LANGS: dict[str, tuple[str, ...]] = {}
-for _lang, _words in _STOPWORDS.items():
-    for _word in _words:
-        _STOPWORD_LANGS[_word] = _STOPWORD_LANGS.get(_word, ()) + (_lang,)
-del _lang, _words, _word
-
 _MIN_TOKENS = 12
+
+#: Lines per window of the mixed-language scan.
+_WINDOW_LINES = 40
 
 #: Any ASCII string shorter than this cannot tokenize into ``_MIN_TOKENS``
 #: tokens (each token needs at least one character plus a separator), so
@@ -82,11 +79,8 @@ class LanguageGuess:
     scores: dict[str, float]
 
 
-def _script_share(text: str) -> float:
-    """Share of characters in CJK/Cyrillic/Greek scripts."""
-    if not text or text.isascii():
-        # ASCII has no non-Latin characters; skip the per-character scan.
-        return 0.0
+def _script_counts(text: str) -> tuple[int, int]:
+    """``(characters in CJK/Cyrillic/Greek scripts, letters)``."""
     non_latin = sum(
         1
         for ch in text
@@ -96,7 +90,32 @@ def _script_share(text: str) -> float:
         or "가" <= ch <= "힯"  # Hangul
     )
     letters = sum(1 for ch in text if ch.isalpha())
+    return non_latin, letters
+
+
+def _script_share(text: str) -> float:
+    """Share of characters in CJK/Cyrillic/Greek scripts."""
+    if not text or text.isascii():
+        # ASCII has no non-Latin characters; skip the per-character scan.
+        return 0.0
+    non_latin, letters = _script_counts(text)
     return non_latin / letters if letters else 0.0
+
+
+def _verdict(counts: Counter, n_tokens: int) -> LanguageGuess:
+    """The guess for ``n_tokens`` tokens, counted per token in
+    ``counts``."""
+    if n_tokens < _MIN_TOKENS:
+        return LanguageGuess("und", 0.0, {})
+    get = counts.get
+    scores = {lang: sum([get(word, 0) for word in words]) / n_tokens
+              for lang, words in _STOPWORDS.items()}
+    best = max(scores, key=scores.get)
+    total = sum(scores.values())
+    confidence = scores[best] / total if total else 0.0
+    if scores[best] < 0.05:
+        return LanguageGuess("und", confidence, scores)
+    return LanguageGuess(best, confidence, scores)
 
 
 def detect_language(text: str) -> LanguageGuess:
@@ -112,19 +131,7 @@ def detect_language(text: str) -> LanguageGuess:
     if _script_share(text) > 0.25:
         return LanguageGuess("cjk", 1.0, {"cjk": 1.0})
     tokens = tokenize(text)
-    if len(tokens) < _MIN_TOKENS:
-        return LanguageGuess("und", 0.0, {})
-    counts = dict.fromkeys(_STOPWORDS, 0)
-    for token in tokens:
-        for lang in _STOPWORD_LANGS.get(token, ()):
-            counts[lang] += 1
-    scores = {lang: counts[lang] / len(tokens) for lang in _STOPWORDS}
-    best = max(scores, key=scores.get)
-    total = sum(scores.values())
-    confidence = scores[best] / total if total else 0.0
-    if scores[best] < 0.05:
-        return LanguageGuess("und", confidence, scores)
-    return LanguageGuess(best, confidence, scores)
+    return _verdict(Counter(tokens), len(tokens))
 
 
 def is_english(text: str) -> bool:
@@ -132,72 +139,68 @@ def is_english(text: str) -> bool:
     return detect_language(text).language == "en"
 
 
-def _window_languages(text: str, window_lines: int, detect) -> set[str]:
-    """Languages confidently identified across line windows of ``text``."""
-    lines = [line for line in text.split("\n") if line.strip()]
-    if len(lines) < 2:
-        return set()
-    languages: set[str] = set()
-    for start in range(0, len(lines), window_lines):
-        window = "\n".join(lines[start : start + window_lines])
-        guess = detect(window)
-        if guess.language not in ("und", "cjk"):
-            languages.add(guess.language)
-        elif guess.language == "cjk":
-            languages.add("cjk")
-    return languages
-
-
-def is_mixed_language(text: str, window_lines: int = 40) -> bool:
+def is_mixed_language(text: str, window_lines: int = _WINDOW_LINES) -> bool:
     """Detect documents that combine substantial runs of several languages.
 
     Splits the document into line windows and checks whether two windows
     confidently disagree about the language — the signal used to discard
     the combined-language policies §4 mentions.
     """
-    return len(_window_languages(text, window_lines, detect_language)) > 1
+    lines = [line for line in text.split("\n") if line.strip()]
+    if len(lines) < 2:
+        return False
+    languages: set[str] = set()
+    for start in range(0, len(lines), window_lines):
+        window = "\n".join(lines[start : start + window_lines])
+        guess = detect_language(window)
+        if guess.language != "und":
+            languages.add(guess.language)
+    return len(languages) > 1
 
 
-class LanguageDetector:
-    """Memoizing language detector for one pre-processing context.
+def page_language(text: str) -> tuple[LanguageGuess, bool]:
+    """``(detect_language(text), is_mixed_language(text))`` from one
+    tokenization of ``text``'s lines.
 
-    The executor creates one instance per shard (and the serial runner one
-    per run); the memo therefore lives exactly as long as the shard, and
-    identical text — a page's whole-document guess followed by its
-    single-window mixed-language scan, or repeated boilerplate windows
-    across a shard's domains — is scored once.
-
-    The memo is bounded: once ``max_entries`` distinct texts are cached it
-    is cleared wholesale, which keeps worst-case memory flat without LRU
-    bookkeeping on the hot path. Detection is a pure function of the text,
-    so memoization can never change a result.
+    A token never spans a newline, so the text's tokens are its lines'
+    tokens joined, and each window's tokens come from the same lists;
+    the script counts add up line by line the same way. A text with at
+    most one window of non-blank lines names at most one language, so it
+    is never mixed and its scan is skipped.
     """
+    lines = [line for line in text.split("\n") if line.strip()]
+    tokens = [tokenize(line) for line in lines]
+    scripts = None if text.isascii() else [_script_counts(line)
+                                           for line in lines]
+    guess = _score_lines(tokens, scripts)
+    if len(lines) <= _WINDOW_LINES:
+        return guess, False
+    languages: set[str] = set()
+    for start in range(0, len(lines), _WINDOW_LINES):
+        window = slice(start, start + _WINDOW_LINES)
+        window_guess = _score_lines(
+            tokens[window], None if scripts is None else scripts[window])
+        if window_guess.language != "und":
+            languages.add(window_guess.language)
+    return guess, len(languages) > 1
 
-    __slots__ = ("_memo", "_max_entries")
 
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self._memo: dict[str, LanguageGuess] = {}
-        self._max_entries = max_entries
-
-    def detect(self, text: str) -> LanguageGuess:
-        guess = self._memo.get(text)
-        if guess is None:
-            if len(self._memo) >= self._max_entries:
-                self._memo.clear()
-            guess = detect_language(text)
-            self._memo[text] = guess
-        return guess
-
-    def is_mixed(self, text: str, window_lines: int = 40) -> bool:
-        return len(_window_languages(text, window_lines, self.detect)) > 1
+def _score_lines(tokens: list[list[str]],
+                 scripts: list[tuple[int, int]] | None) -> LanguageGuess:
+    """:func:`detect_language` of the lines with these token lists and,
+    for non-ASCII text, these script counts."""
+    if scripts is not None:
+        letters = sum(count for _, count in scripts)
+        if letters and sum(count for count, _ in scripts) / letters > 0.25:
+            return LanguageGuess("cjk", 1.0, {"cjk": 1.0})
+    return _verdict(Counter(chain.from_iterable(tokens)),
+                    sum(map(len, tokens)))
 
 
 __all__ = [
-    "LanguageDetector",
     "LanguageGuess",
     "detect_language",
     "is_english",
     "is_mixed_language",
+    "page_language",
 ]

@@ -221,15 +221,19 @@ class CachedRecord:
     completion_tokens: int
     fetch: FetchStats
 
-    def to_payload(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "record": json.loads(self.record.to_json()),
+    def to_json(self) -> str:
+        """The entry's file text, with the record's own ``to_json``
+        spliced in rather than decoded and encoded again: the bytes
+        ``json.dumps`` renders for the decoded entry, since both render
+        with the default separators and ``ensure_ascii=False``."""
+        rest = json.dumps({
             "trace": asdict(self.trace),
             "prompt_tokens": self.prompt_tokens,
             "completion_tokens": self.completion_tokens,
             "fetch": self.fetch.as_dict(),
-        }
+        }, ensure_ascii=False)
+        return (f'{{"schema": {SCHEMA_VERSION}, '
+                f'"record": {self.record.to_json()}, {rest[1:]}')
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CachedRecord":
@@ -257,18 +261,19 @@ class CachedCrawl:
     fetch: FetchStats
     document: TextDocument | None = None
 
-    def to_payload(self) -> dict:
+    def to_json(self) -> str:
+        """The entry's file text."""
         lines = None
         if self.document is not None:
             lines = [[line.number, line.text, line.heading_level]
                      for line in self.document.lines]
-        return {
+        return json.dumps({
             "schema": SCHEMA_VERSION,
             "outcome": self.outcome,
             "trace": asdict(self.trace),
             "fetch": self.fetch.as_dict(),
             "document": lines,
-        }
+        }, ensure_ascii=False)
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CachedCrawl":
@@ -310,7 +315,7 @@ class PipelineCache:
         return CachedRecord.from_payload(payload) if payload else None
 
     def store_record(self, key: str, entry: CachedRecord) -> None:
-        self._write(self._path("records", key), entry.to_payload())
+        self._write(self._path("records", key), entry.to_json())
 
     # -- crawl layer -----------------------------------------------------
 
@@ -319,7 +324,7 @@ class PipelineCache:
         return CachedCrawl.from_payload(payload) if payload else None
 
     def store_crawl(self, key: str, entry: CachedCrawl) -> None:
-        self._write(self._path("crawl", key), entry.to_payload())
+        self._write(self._path("crawl", key), entry.to_json())
 
     # -- maintenance -----------------------------------------------------
 
@@ -402,16 +407,16 @@ class PipelineCache:
         return payload
 
     @staticmethod
-    def _write(path: Path, payload: dict) -> None:
+    def _write(path: Path, text: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(payload, fh, ensure_ascii=False)
+                fh.write(text)
             os.replace(tmp, path)
         finally:
-            if tmp.exists():  # a failed dump must not leave debris behind
+            if tmp.exists():  # a failed write must not leave debris behind
                 try:
                     tmp.unlink()
                 except OSError:
@@ -439,8 +444,7 @@ def replay_record(corpus, cache: PipelineCache, key: str,
 
 
 def load_or_crawl(corpus, crawler, domain: str, timings,
-                  cache: PipelineCache, keys: CacheKeys,
-                  detector=None) -> CachedCrawl:
+                  cache: PipelineCache, keys: CacheKeys) -> CachedCrawl:
     """The crawl layer: replay the stored entry, or crawl, preprocess and
     checkpoint a new one.
 
@@ -448,8 +452,6 @@ def load_or_crawl(corpus, crawler, domain: str, timings,
     the entry (miss). The entry is stored before the caller annotates: its
     trace is serialized now, so the segmentation fields
     :func:`annotate_crawl` adds never leak into the crawl-stage entry.
-    ``detector`` (optional) shares memoized language-detection state with
-    the calling run or shard.
     """
     internet = corpus.internet
     crawl_key = keys.crawl_key(domain)
@@ -463,8 +465,7 @@ def load_or_crawl(corpus, crawler, domain: str, timings,
         with timings.stage("crawl"):
             crawl = crawler.crawl_domain(domain)
         trace, document, early = preprocess_domain(corpus, crawl,
-                                                   timings=timings,
-                                                   detector=detector)
+                                                   timings=timings)
     # The sink has already folded into the enclosing accounting context;
     # snapshot it for the entry.
     entry = CachedCrawl(outcome=early.status if early is not None else "ok",
@@ -506,7 +507,7 @@ def annotate_crawl(corpus, domain: str, crawl: CachedCrawl,
 
 def process_domain_cached(corpus, crawler, domain: str,
                           options: PipelineOptions, timings, cache, keys,
-                          detector=None, *, cascade,
+                          *, cascade,
                           ) -> tuple[DomainAnnotations, DomainTrace, int, int]:
     """Run (or replay) one domain through the pipeline with caching.
 
@@ -519,8 +520,7 @@ def process_domain_cached(corpus, crawler, domain: str,
     record_key = keys.record_key(domain)
     entry = replay_record(corpus, cache, record_key, timings)
     if entry is None:
-        crawl = load_or_crawl(corpus, crawler, domain, timings, cache, keys,
-                              detector=detector)
+        crawl = load_or_crawl(corpus, crawler, domain, timings, cache, keys)
         entry = annotate_crawl(corpus, domain, crawl, options, timings,
                                cascade=cascade)
         cache.store_record(record_key, entry)

@@ -9,9 +9,8 @@ This module exploits that:
 1. The domain list is partitioned into contiguous, order-preserving shards
    (:func:`make_shards`).
 2. Each shard runs with its **own** :class:`~repro.web.browser.Browser` /
-   :class:`~repro.crawler.crawler.PrivacyCrawler`, its own per-domain chat
-   models, and its own memoized language detector, so no mutable state is
-   shared across workers.
+   :class:`~repro.crawler.crawler.PrivacyCrawler` and its own per-domain
+   chat models, so no mutable state is shared across workers.
 3. Shard results are merged back in original corpus order; token counters
    and per-worker :class:`~repro.web.net.FetchStats` are summed at join.
 
@@ -63,7 +62,6 @@ from dataclasses import dataclass, field
 from repro._util.profiling import StageTimings
 from repro.corpus.build import CorpusConfig, SyntheticCorpus, build_corpus
 from repro.crawler.crawler import CrawlResult, PrivacyCrawler
-from repro.lang import LanguageDetector
 from repro.pipeline.records import DomainAnnotations
 from repro.pipeline.runner import (
     DomainTrace,
@@ -125,8 +123,8 @@ class ExecutorOptions:
 
 
 #: The executor of a plain ``run_pipeline`` call: every domain in one
-#: shard, run inline on the calling thread, so the run shares one crawler
-#: and language detector, and an error raises at once instead of retrying.
+#: shard, run inline on the calling thread, so the run shares one crawler,
+#: and an error raises at once instead of retrying.
 INLINE = ExecutorOptions(workers=1, shard_size=sys.maxsize, max_retries=0,
                          backend="serial")
 
@@ -207,7 +205,6 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
 
     outcome = ShardOutcome(index=index, domains=list(domains))
     crawler = PrivacyCrawler(Browser(internet=corpus.internet))
-    detector = LanguageDetector()
     cascade = cascade_model_for(options)
     if cache is not None:
         from repro.pipeline.cache import process_domain_cached
@@ -216,7 +213,7 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
             if cache is not None:
                 record, trace, ptok, ctok = process_domain_cached(
                     corpus, crawler, domain, options, outcome.timings,
-                    cache, keys, detector=detector, cascade=cascade)
+                    cache, keys, cascade=cascade)
                 outcome.prompt_tokens += ptok
                 outcome.completion_tokens += ctok
             else:
@@ -225,7 +222,6 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
                     crawl = crawler.crawl_domain(domain)
                 record, trace = process_crawl(corpus, crawl, model, options,
                                               timings=outcome.timings,
-                                              detector=detector,
                                               cascade=cascade)
                 outcome.prompt_tokens += model.usage.prompt_tokens
                 outcome.completion_tokens += model.usage.completion_tokens
@@ -516,7 +512,9 @@ def crawl_domains(internet: SimulatedInternet, domains: list[str],
         with internet.record_stats():
             out = []
             for domain in shard:
-                out.append((domain, crawler.crawl_domain(domain)))
+                crawl = crawler.crawl_domain(domain)
+                crawl.drop_trees()
+                out.append((domain, crawl))
                 relay(domain)
             return out
 

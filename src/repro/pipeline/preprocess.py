@@ -16,10 +16,11 @@ the text the annotation stages work on:
 6. Concatenate the surviving pages into one combined, globally numbered
    document for segmentation.
 
-Language detection goes through a :class:`~repro.lang.LanguageDetector`
-whose memo the caller scopes to its execution context (one per executor
-shard, one per serial run), so repeated text — e.g. a whole-document guess
-followed by a single-window mixed-language scan — is scored once.
+Each page's work happens once. A page is rendered from
+:attr:`~repro.crawler.crawler.PageRecord.tree`, the tree the crawler
+parsed when it read the page's links, so no page is parsed twice. Its
+language and the mixed-language scan both come from one tokenization of
+its rendered lines (:func:`~repro.lang.page_language`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.crawler.crawler import CrawlResult, PageRecord
-from repro.htmlkit import TextDocument, TextLine, html_to_document
-from repro.lang import LanguageDetector
+from repro.htmlkit import TextDocument, TextLine, render_document
+from repro.lang import page_language
 
 
 @dataclass
@@ -58,17 +59,8 @@ class PreprocessResult:
         return len(self.pages)
 
 
-def preprocess_crawl(crawl: CrawlResult,
-                     detector: LanguageDetector | None = None,
-                     ) -> PreprocessResult:
-    """Run the full §3.1 pre-processing for one domain.
-
-    ``detector`` memoizes language detection across calls; callers that
-    process many domains (the executor's shards, the serial runner) pass
-    one instance so repeated text is scored once. Omitting it creates a
-    private instance — the output is identical either way.
-    """
-    detector = detector if detector is not None else LanguageDetector()
+def preprocess_crawl(crawl: CrawlResult) -> PreprocessResult:
+    """Run the full §3.1 pre-processing for one domain."""
     result = PreprocessResult(domain=crawl.domain)
     seen_urls: set[str] = set()
     seen_raw: set[str] = set()
@@ -84,10 +76,10 @@ def preprocess_crawl(crawl: CrawlResult,
             # Byte-identical to a page that already went through the
             # rendered-text tier: identical bytes render identically, so
             # this is the same duplicate-content outcome without paying
-            # html_to_document + detect_language again.
+            # for rendering and language detection again.
             result.dropped.append((page.requested_url, "duplicate-content"))
             continue
-        document = html_to_document(page.html)
+        document = render_document(page.tree)
         text = document.text
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if digest in seen_hashes:
@@ -96,11 +88,11 @@ def preprocess_crawl(crawl: CrawlResult,
         seen_hashes.add(digest)
         seen_raw.add(raw_digest)
         seen_urls.add(page.final_url)
-        guess = detector.detect(text)
+        guess, mixed = page_language(text)
         if guess.language not in ("en", "und"):
             result.dropped.append((page.requested_url, "non-english"))
             continue
-        if detector.is_mixed(text):
+        if mixed:
             result.dropped.append((page.requested_url, "mixed-language"))
             continue
         result.pages.append(PreprocessedPage(url=page.final_url,

@@ -25,7 +25,6 @@ from repro.pipeline.annotate import (
     annotate_rights,
     annotate_types,
 )
-from repro.lang import LanguageDetector
 from repro.pipeline.docindex import DocumentIndex, bind_model_index
 from repro.pipeline.preprocess import preprocess_crawl
 from repro.pipeline.records import DomainAnnotations
@@ -219,8 +218,8 @@ def run_pipeline(corpus: SyntheticCorpus,
     (see :func:`domain_model_seed`), so results do not depend on domain
     order or concurrency. By default the domains run inline as one
     ``serial`` shard of
-    :func:`~repro.pipeline.parallel.run_parallel_pipeline`: one crawler and
-    language detector for the whole run, and no retries. Pass
+    :func:`~repro.pipeline.parallel.run_parallel_pipeline`: one crawler
+    for the whole run, and no retries. Pass
     ``workers=N`` (or a full
     :class:`~repro.pipeline.parallel.ExecutorOptions` via ``executor``) to
     run on the sharded executor instead; the output is byte-identical.
@@ -255,22 +254,19 @@ def run_pipeline(corpus: SyntheticCorpus,
 def process_crawl(corpus: SyntheticCorpus, crawl: CrawlResult,
                   model: ChatModel,
                   options: PipelineOptions,
-                  timings: StageTimings | None = None,
-                  detector: LanguageDetector | None = None, *,
+                  timings: StageTimings | None = None, *,
                   cascade) -> tuple[DomainAnnotations, DomainTrace]:
     """Process one domain's crawl into an annotation record + trace.
 
     ``timings`` (optional) accumulates per-stage wall clock for the
-    preprocess/segment/annotate stages. ``detector`` (optional) shares
-    memoized language-detection state across a run or shard. ``cascade``
-    is the run's cascade model, resolved once per run by
+    preprocess/segment/annotate stages. ``cascade`` is the run's cascade
+    model, resolved once per run by
     :func:`~repro.pipeline.cascade.cascade_model_for` (``None`` unless
     ``options`` select the cascade).
     """
     domain = crawl.domain
     sector = corpus.sector_of.get(domain, "??")
-    trace, document, early = preprocess_domain(corpus, crawl, timings=timings,
-                                               detector=detector)
+    trace, document, early = preprocess_domain(corpus, crawl, timings=timings)
     if early is not None:
         return early, trace
     record = annotate_document(domain, sector, document, model, options,
@@ -280,7 +276,6 @@ def process_crawl(corpus: SyntheticCorpus, crawl: CrawlResult,
 
 def preprocess_domain(corpus: SyntheticCorpus, crawl: CrawlResult,
                       timings: StageTimings | None = None,
-                      detector: LanguageDetector | None = None,
                       ) -> tuple[DomainTrace, "TextDocument | None",
                                  DomainAnnotations | None]:
     """The lexicon-independent front half of :func:`process_crawl`.
@@ -308,7 +303,7 @@ def preprocess_domain(corpus: SyntheticCorpus, crawl: CrawlResult,
                                               status="crawl-failed")
 
     with stage_scope(timings, "preprocess"):
-        pre = preprocess_crawl(crawl, detector=detector)
+        pre = preprocess_crawl(crawl)
     trace.retained_pages = pre.page_count()
     trace.drop_reasons = [reason for _, reason in pre.dropped]
     if not pre.ok:

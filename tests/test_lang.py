@@ -1,12 +1,14 @@
 """Tests for language identification."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro._util.textproc import _TOKEN_RE, normalize_for_match, tokenize
 from repro.lang import (
-    LanguageDetector,
     detect_language,
     is_english,
     is_mixed_language,
+    page_language,
 )
 from repro.lang.detect import _MIN_TEXT_CHARS, _MIN_TOKENS, _STOPWORDS
 
@@ -111,9 +113,9 @@ class TestShortTextFastPath:
 
 
 class TestSinglePassScoring:
-    """The reverse token→languages index must reproduce per-language
-    counting exactly, including shared stopwords counted for each
-    language that claims them."""
+    """Scoring from one token count must reproduce per-language counting
+    exactly, including shared stopwords counted for each language that
+    claims them."""
 
     def test_scores_match_naive_per_language_counting(self):
         for sample in (ENGLISH, GERMAN, FRENCH, SPANISH,
@@ -140,43 +142,88 @@ class TestSinglePassScoring:
         assert scores["fr"] == scores["es"] > 0
 
 
-class TestLanguageDetector:
-    def test_detect_matches_module_function(self):
-        detector = LanguageDetector()
-        for sample in (ENGLISH, GERMAN, FRENCH, SPANISH, "hello", ""):
-            assert detector.detect(sample) == detect_language(sample)
+# -- page_language against its reference ---------------------------------------
 
-    def test_memo_serves_repeat_lookups(self, monkeypatch):
-        calls = []
-        import repro.lang.detect as detect_mod
+#: Word pools for generated lines: each language's stopwords plus a few
+#: words that exercise normalization (accents, curly quotes, dashes) and
+#: the script check (CJK, Cyrillic).
+_POOLS = {
+    "en": sorted(_STOPWORDS["en"]) + ["privacy", "cookies", "don\u2019t",
+                                      "\u201cdata\u201d", "opt\u2013out"],
+    "de": sorted(_STOPWORDS["de"]) + ["über", "für", "Datenschutzerklärung"],
+    "fr": sorted(_STOPWORDS["fr"]) + ["données", "été", "l\u2019utilisateur"],
+    "es": sorted(_STOPWORDS["es"]) + ["información", "política", "año"],
+    "ru": ["данные", "политика", "мы", "вы", "конфиденциальности"],
+    "cjk": ["プライバシー", "個人情報", "データ", "保護方針", "이용자"],
+}
+_BLANKS = ["", " ", "\t", "  \u3000 ", "\u00a0", "\r"]
+_noise = st.one_of(st.sampled_from(_BLANKS), st.text(max_size=24))
 
-        real = detect_mod.detect_language
-        monkeypatch.setattr(detect_mod, "detect_language",
-                            lambda text: calls.append(text) or real(text))
-        detector = LanguageDetector()
-        first = detector.detect(ENGLISH)
-        second = detector.detect(ENGLISH)
-        assert first == second
-        assert len(calls) == 1
 
-    def test_memo_is_bounded(self):
-        detector = LanguageDetector(max_entries=2)
-        texts = [f"sample text number {i}" for i in range(5)]
-        for text in texts:
-            detector.detect(text)
-        assert len(detector._memo) <= 2
-        # Results stay correct after the wholesale clear.
-        assert detector.detect(ENGLISH).language == "en"
+def _lines_of(pool: list[str]):
+    return st.lists(st.sampled_from(pool), min_size=1,
+                    max_size=12).map(" ".join)
 
-    def test_is_mixed_matches_module_function(self):
-        english_block = "\n".join([ENGLISH] * 45)
-        german_block = "\n".join([GERMAN] * 45)
-        mixed = english_block + "\n" + german_block
-        detector = LanguageDetector()
-        assert detector.is_mixed(mixed) == is_mixed_language(mixed) is True
-        assert detector.is_mixed(english_block) == \
-            is_mixed_language(english_block) is False
 
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            LanguageDetector(max_entries=0)
+#: A block of 1–80 lines mostly in one language, with blank,
+#: whitespace-only and arbitrary Unicode lines mixed in.
+_block = st.tuples(st.sampled_from(sorted(_POOLS)),
+                   st.integers(min_value=1, max_value=80)).flatmap(
+    lambda spec: st.lists(
+        st.one_of(*[_lines_of(_POOLS[spec[0]])] * 3, _noise),
+        min_size=spec[1], max_size=spec[1]))
+
+#: Pages of 0–200 lines, so that they span several 40-line windows.
+_pages = st.lists(_block, max_size=5).map(
+    lambda blocks: "\n".join([line for block in blocks
+                              for line in block][:200]))
+
+_ENGLISH_LINES = "\n".join([ENGLISH] * 45)
+_GERMAN_LINES = "\n".join([GERMAN] * 45)
+
+
+class TestPageLanguage:
+    """``page_language`` returns exactly ``(detect_language(text),
+    is_mixed_language(text))``: the same guess, confidence and float
+    scores, from one tokenization of the text's lines."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_pages)
+    @example("")
+    @example(_ENGLISH_LINES + "\n" + _GERMAN_LINES)
+    @example(_ENGLISH_LINES + "\n\n  \n" + "プライバシー" * 40)
+    @example("\n".join(["the of and"] * 41))
+    def test_equals_the_reference(self, text):
+        assert page_language(text) == (detect_language(text),
+                                       is_mixed_language(text))
+
+    @pytest.mark.slow
+    @settings(max_examples=600, deadline=None)
+    @given(_pages)
+    def test_equals_the_reference_deep(self, text):
+        """The slow lane re-runs the differential at many more examples."""
+        assert page_language(text) == (detect_language(text),
+                                       is_mixed_language(text))
+
+    def test_mixed_page(self):
+        text = _ENGLISH_LINES + "\n" + _GERMAN_LINES
+        guess, mixed = page_language(text)
+        assert guess.language == "en" and mixed
+
+    def test_one_window_is_never_mixed(self):
+        text = "\n".join([ENGLISH] * 20 + [GERMAN] * 20)
+        assert page_language(text)[1] is is_mixed_language(text) is False
+
+
+class TestTokenize:
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=200))
+    @example("Don't  STOP\t\tthe\n\nmusic's 2nd\x0b\x0cverse ' x'y")
+    def test_ascii_path_equals_the_normalized_path(self, text):
+        assert tokenize(text) == _TOKEN_RE.findall(normalize_for_match(text))
+
+    @given(st.lists(_noise | _lines_of(sum(_POOLS.values(), [])),
+                    max_size=30))
+    def test_a_token_never_spans_a_newline(self, lines):
+        text = "\n".join(lines)
+        assert tokenize(text) == [token for line in text.split("\n")
+                                  for token in tokenize(line)]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.crawler.crawler import CrawlResult, PageRecord
-from repro.lang import LanguageDetector
 from repro.pipeline.preprocess import preprocess_crawl
 
 ENGLISH_BODY = (
@@ -153,33 +152,6 @@ class TestEarlyDropTiers:
         assert result.pages == []
         assert _reasons(result) == {
             "https://example.com/multi": "mixed-language"}
-
-
-class TestDetectorThreading:
-    def test_shared_detector_changes_nothing(self):
-        """Passing a caller-scoped detector (as the runner/shards do) must
-        give byte-identical results to the private default."""
-        pages = (
-            _page("https://example.com/privacy", ENGLISH_BODY),
-            _page("https://example.com/copy", ENGLISH_BODY),
-            _page("https://example.com/de", GERMAN_BODY),
-        )
-        private = preprocess_crawl(_crawl(*pages))
-        shared_detector = LanguageDetector()
-        shared = preprocess_crawl(_crawl(*pages), detector=shared_detector)
-        assert [p.url for p in shared.pages] == [p.url for p in private.pages]
-        assert shared.dropped == private.dropped
-        assert shared.combined.text == private.combined.text
-
-    def test_detector_memo_is_populated_across_calls(self):
-        detector = LanguageDetector()
-        crawl = _crawl(_page("https://example.com/privacy", ENGLISH_BODY))
-        preprocess_crawl(crawl, detector=detector)
-        memo_after_first = len(detector._memo)
-        assert memo_after_first > 0
-        preprocess_crawl(crawl, detector=detector)
-        # Same text again: served from memo, no new entries.
-        assert len(detector._memo) == memo_after_first
 
 
 class TestCombinedDocument:
