@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -17,6 +18,30 @@ from repro.serve import (
 )
 
 GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.jsonl"
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _shell_commands(script: str) -> list[list[str]]:
+    """The argv of each command in a shell script, split as bash splits it.
+
+    A backslash before a newline joins two lines, ``#`` outside quotes
+    comments out the rest of its line, and a newline outside quotes ends
+    the command.
+    """
+    commands, pending = [], ""
+    for line in script.splitlines(keepends=True):
+        pending += line
+        if pending.endswith("\\\n"):
+            continue
+        try:
+            argv = shlex.split(pending.replace("\\\n", ""), comments=True)
+        except ValueError:  # a quoted argument runs onto the next line
+            continue
+        if argv:
+            commands.append(argv)
+        pending = ""
+    assert pending == "", f"unterminated command: {pending!r}"
+    return commands
 
 
 class TestParser:
@@ -37,23 +62,19 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_docstring_examples_parse(self):
-        """Every example in the module docstring is a valid command line."""
-        lines = cli.__doc__.replace("\\\n", " ").splitlines()
-        commands, pending = [], None
-        for line in lines:
-            if pending is None and not line.lstrip().startswith(
-                    "repro-pipeline "):
-                continue
-            pending = line if pending is None else f"{pending}\n{line}"
-            try:
-                argv = shlex.split(pending)
-            except ValueError:  # a quoted argument runs onto the next line
-                continue
-            commands.append(argv)
-            pending = None
-        assert pending is None
+        """Every example in the module docstring and in the README's bash
+        blocks is a valid command line."""
+        examples = re.search(r"Examples::\n\n((?: {4}.*\n)+)",
+                             cli.__doc__).group(1)
+        readme = README.read_text(encoding="utf-8")
+        scripts = [examples, *re.findall(r"^```bash\n(.*?)^```", readme,
+                                         flags=re.DOTALL | re.MULTILINE)]
+        commands = [argv for script in scripts
+                    for argv in _shell_commands(script)
+                    if argv[0] == "repro-pipeline"]
         assert len(commands) == sum(
-            line.lstrip().startswith("repro-pipeline ") for line in lines)
+            line.lstrip().startswith("repro-pipeline ")
+            for line in (examples + readme).splitlines())
         parser = build_parser()
         for argv in commands:
             try:
