@@ -10,9 +10,9 @@ artifact behind:
 - :func:`content_digest` — SHA-256 over the canonical rendering; the
   fingerprint primitive behind cache keys, snapshot ids, and query cache
   keys.
-- :func:`write_json_atomic` — temp-file + ``os.replace`` JSON writes, so
-  a reader (or a crashed writer) never observes a torn artifact. This is
-  the same durability pattern the pipeline cache store uses.
+- :func:`write_text_atomic` — temp-file + ``os.replace`` writes, so a
+  reader (or a crashed writer) never observes a torn file; the one
+  writer behind :func:`write_json_atomic` and the pipeline cache store.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ def content_digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def write_json_atomic(path: str | Path, payload, *, indent: int | None = 2,
-                      sort_keys: bool = False) -> Path:
-    """Write ``payload`` as JSON to ``path`` atomically.
+def write_text_atomic(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` atomically.
 
-    The document goes to a same-directory temp file first and is moved
-    into place with ``os.replace`` (atomic on POSIX), so concurrent
-    readers only ever see either the old artifact or the complete new
-    one. Parent directories are created as needed. Returns ``path``.
+    The text goes to a same-directory temp file first and is moved into
+    place with ``os.replace`` (atomic on POSIX), so concurrent readers
+    only ever see either the old file or the complete new one, and a
+    failed write leaves no temp file behind. Parent directories are
+    created as needed. Returns ``path``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -54,14 +54,23 @@ def write_json_atomic(path: str | Path, payload, *, indent: int | None = 2,
         f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=indent,
-                      sort_keys=sort_keys)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     finally:
-        if tmp.exists():  # a failed dump must not leave debris behind
+        if tmp.exists():  # a failed write must not leave debris behind
             try:
                 tmp.unlink()
             except OSError:
                 pass
     return path
+
+
+def write_json_atomic(path: str | Path, payload, *, indent: int | None = 2,
+                      sort_keys: bool = False) -> Path:
+    """Write ``payload`` as JSON, with a trailing newline, to ``path``
+    atomically (:func:`write_text_atomic`). A payload that does not
+    serialize raises before any file is touched. Returns ``path``.
+    """
+    return write_text_atomic(path, json.dumps(
+        payload, ensure_ascii=False, indent=indent,
+        sort_keys=sort_keys) + "\n")

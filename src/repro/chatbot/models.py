@@ -395,21 +395,35 @@ def _local_mislabel(rng, taxonomy, category: str, descriptor: str):
     return sibling.name, rng.choice(sibling.descriptors).name
 
 
-def make_model(name: str, seed: int = 0) -> SimulatedChatModel:
-    """Factory for the three simulated model tiers."""
-    profiles = {
-        "sim-gpt-4-turbo": GPT4_PROFILE,
-        "sim-gpt-3.5-turbo": GPT35_PROFILE,
-        "sim-llama-3.1": LLAMA31_PROFILE,
-        "sim-oracle": ORACLE_PROFILE,
-    }
+#: The simulated model tiers by name: the one table :func:`make_model`
+#: builds from and :class:`~repro.pipeline.runner.PipelineOptions`
+#: checks a model name against.
+MODEL_PROFILES = {
+    "sim-gpt-4-turbo": GPT4_PROFILE,
+    "sim-gpt-3.5-turbo": GPT35_PROFILE,
+    "sim-llama-3.1": LLAMA31_PROFILE,
+    "sim-oracle": ORACLE_PROFILE,
+}
+
+
+def model_profile(name: str) -> ModelErrorProfile:
+    """The error profile of the simulated tier ``name``.
+
+    Raises:
+        ChatModelError: ``name`` is no tier; the message lists the tiers.
+    """
     try:
-        profile = profiles[name]
+        return MODEL_PROFILES[name]
     except KeyError:
         raise ChatModelError(
-            f"unknown model {name!r}; available: {sorted(profiles)}"
+            f"unknown model {name!r}; available: {sorted(MODEL_PROFILES)}"
         ) from None
-    return SimulatedChatModel(name=name, profile=profile, seed=seed)
+
+
+def make_model(name: str, seed: int = 0) -> SimulatedChatModel:
+    """Factory for the simulated model tiers."""
+    return SimulatedChatModel(name=name, profile=model_profile(name),
+                              seed=seed)
 
 
 AVAILABLE_MODELS = ("sim-gpt-4-turbo", "sim-gpt-3.5-turbo", "sim-llama-3.1")

@@ -48,7 +48,7 @@ from repro.analysis import (
     table3_practices,
 )
 from repro.corpus import CorpusConfig, build_corpus
-from repro.errors import CorpusError
+from repro.errors import ChatModelError, CorpusError
 from repro.pipeline import PipelineOptions, run_pipeline, write_jsonl
 from repro.validation import audit_failures, compare_models, sampled_precision
 
@@ -96,12 +96,17 @@ def _resolve_cache(args):
 
 
 def _pipeline_options(args) -> PipelineOptions:
+    """The pipeline options the global flags select; callers build them
+    before the corpus, so an unknown ``--model`` builds nothing."""
     kwargs = {"model_name": args.model, "annotator": args.annotator,
               "practice_escalation_threshold":
                   args.practice_escalation_threshold}
     if args.escalation_threshold is not None:
         kwargs["escalation_threshold"] = args.escalation_threshold
-    return PipelineOptions(**kwargs)
+    try:
+        return PipelineOptions(**kwargs)
+    except ChatModelError as exc:
+        raise CLIUsageError(f"--model: {exc}")
 
 
 def _build_corpus(args, announce: bool = False):
@@ -117,9 +122,9 @@ def _build_corpus(args, announce: bool = False):
 
 
 def _build_and_run(args):
+    options = _pipeline_options(args)
     cache = _resolve_cache(args)
     corpus = _build_corpus(args, announce=True)
-    options = _pipeline_options(args)
     start = time.time()
     executor = None
     if (args.workers > 1 or args.backend != "thread"
@@ -240,10 +245,9 @@ def cmd_crawl_stats(args) -> int:
     print(f"mean privacy pages per success:  {result.mean_privacy_pages():.2f}")
     print(f"crawl success rate:              "
           f"{100 * result.crawl_successes() / result.domains_total():.1f}%")
-    if result.fetch_stats is not None:
-        print("fetch counters (this run):")
-        for name, value in result.fetch_stats.as_dict().items():
-            print(f"  {name:<14} {value}")
+    print("fetch counters (this run):")
+    for name, value in result.fetch_stats.as_dict().items():
+        print(f"  {name:<14} {value}")
     return 0
 
 
@@ -258,9 +262,9 @@ def cmd_serve_snapshot(args) -> int:
                                 "--cache-dir")
         from repro.pipeline import PipelineCache
 
+        options = _pipeline_options(args)
         try:  # a cold cache: the message names the missing domains
-            snapshot = snapshot_from_cache(_build_corpus(args),
-                                           _pipeline_options(args),
+            snapshot = snapshot_from_cache(_build_corpus(args), options,
                                            PipelineCache(args.cache_dir))
         except SnapshotError as exc:
             raise CLIUsageError(str(exc))
@@ -490,11 +494,11 @@ def cmd_ingest(args) -> int:
     if args.once and args.max_rounds is not None:
         raise CLIUsageError("--max-rounds only applies with --watch")
     policy = _parse_refresh_policy(args.refresh_policy)
+    options = _pipeline_options(args)
     cache = _resolve_cache(args)
     corpus = _build_corpus(args, announce=True)
     watched = (corpus.domains[:args.domains]
                if args.domains is not None else None)
-    options = _pipeline_options(args)
     try:
         scheduler = IngestScheduler(corpus, options, cache,
                                     domains=watched, policy=policy,

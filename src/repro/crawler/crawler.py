@@ -35,6 +35,7 @@ from repro.crawler.links import (
 from repro.errors import FetchError, RobotsDisallowedError
 from repro.htmlkit.dom import Element, parse_html
 from repro.web.browser import Browser, PageResult
+from repro.web.net import FetchStats
 from repro.web.url import normalize_url
 
 MAX_FOOTER_LINKS = 3
@@ -80,6 +81,8 @@ class CrawlResult:
     pages: list[PageRecord] = field(default_factory=list)
     #: Number of navigations attempted (the paper's "pages crawled").
     navigations: int = 0
+    #: Counters of the fetches this crawl sent, retries included.
+    fetch: FetchStats = field(default_factory=FetchStats)
 
     @property
     def homepage(self) -> PageRecord | None:
@@ -117,8 +120,13 @@ class PrivacyCrawler:
         self.browser = browser
 
     def crawl_domain(self, domain: str) -> CrawlResult:
-        """Crawl one domain and return all page records."""
+        """Crawl one domain and return all page records.
+
+        The result's ``fetch`` holds the fetches this crawl sent: what the
+        browser counted between the call's start and its return.
+        """
         result = CrawlResult(domain=domain)
+        sent = self.browser.stats.as_dict()
         visited: set[str] = set()
 
         homepage = self._navigate(result, visited, f"https://{domain}/",
@@ -153,6 +161,9 @@ class PrivacyCrawler:
                     continue
                 self._navigate(result, visited, link.url, "top-link")
 
+        result.fetch = FetchStats(**{
+            name: count - sent[name]
+            for name, count in self.browser.stats.as_dict().items()})
         return result
 
     # -- internals -----------------------------------------------------------

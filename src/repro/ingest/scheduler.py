@@ -23,10 +23,13 @@ Change detection is two-tiered, cheapest test first:
    the annotate step (``ingest.annotated``).
 
 Both delta paths call the two-layer cache's own record, crawl and
-annotate steps (:mod:`repro.pipeline.cache`), the ones
-``process_domain_cached`` runs — so a full pipeline re-run over the
-mutated corpus produces byte-identical records, which is the
-differential proof the refresh harness asserts.
+annotate steps (:mod:`repro.pipeline.cache`), the ones the pipeline's
+per-domain step :func:`~repro.pipeline.cache.process_domain` runs — so
+a full pipeline re-run over the mutated corpus produces byte-identical
+records, which is the differential proof the refresh harness asserts.
+The scheduler calls the steps itself, not ``process_domain``, because
+its content-fingerprint shortcut sits between the crawl step and the
+annotate step.
 
 Rounds are replayable: the due set and its order are pure functions of
 ``(seed, round number, policy, watched set)``.
@@ -286,8 +289,8 @@ class IngestScheduler:
         (:func:`~repro.pipeline.cache.replay_record`), the crawl layer
         (:func:`~repro.pipeline.cache.load_or_crawl`) and the annotate
         step (:func:`~repro.pipeline.cache.annotate_crawl`), with the same
-        keys, counters and replay semantics as ``process_domain_cached`` —
-        plus the content-fingerprint shortcut: when the freshly crawled
+        keys and counters as :func:`~repro.pipeline.cache.process_domain`
+        — plus the content-fingerprint shortcut: when the freshly crawled
         content fingerprints equal to what the ledger last annotated, the
         prior record is stored under the new record key without
         annotating at all. (The reused entry carries the fresh crawl
@@ -297,14 +300,14 @@ class IngestScheduler:
         corpus, cache, keys = self.corpus, self.cache, self.keys
         sector = corpus.sector_of.get(domain, "??")
         record_key = keys.record_key(domain)
-        entry = replay_record(corpus, cache, record_key, self.counters)
+        entry = replay_record(cache, record_key, self.counters)
         if entry is not None:
             crawl = cache.load_crawl(keys.crawl_key(domain))
             content_fp = crawl_content_fingerprint(sector, crawl) \
                 if crawl is not None else None
         else:
-            crawl = load_or_crawl(corpus, self._crawler, domain,
-                                  self.counters, cache, keys)
+            crawl = load_or_crawl(self._crawler, domain, self.counters,
+                                  cache, keys)
             content_fp = crawl_content_fingerprint(sector, crawl)
             if previous is not None and previous.content_fp == content_fp:
                 entry = CachedRecord(record=previous.record,

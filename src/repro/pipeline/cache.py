@@ -15,12 +15,12 @@ content-addressed result store:
   depend on dict ordering, worker counts, or domain order.
 
 - **Two layers.** The ``records`` layer stores a domain's final output
-  (annotation record, trace, token counts, fetch-counter delta) keyed by
-  *everything*; a warm rerun skips crawl/preprocess/segment/annotate
-  entirely. The ``crawl`` layer stores the preprocessed combined document
-  keyed only by inputs + crawl/preprocess versions, so editing a lexicon
-  entry invalidates annotations but replays the stored document instead of
-  re-crawling.
+  (annotation record, trace, token counts, its crawl's fetch counters)
+  keyed by *everything*; a warm rerun skips
+  crawl/preprocess/segment/annotate entirely. The ``crawl`` layer stores
+  the preprocessed combined document keyed only by inputs +
+  crawl/preprocess versions, so editing a lexicon entry invalidates
+  annotations but replays the stored document instead of re-crawling.
 
 - **Checkpoint/resume.** Each completed domain is written immediately via
   temp-file + ``os.replace`` (atomic on POSIX), so a killed run — serial
@@ -31,9 +31,13 @@ content-addressed result store:
 
 - **Determinism.** Cached results are byte-identical to fresh computation
   for every worker count: replay-from-crawl re-seeds the per-domain model
-  exactly as a fresh run would after crawling, and fetch counters captured
-  at compute time are replayed into the live accounting sinks
-  (:meth:`~repro.web.net.SimulatedInternet.replay_stats`).
+  exactly as a fresh run would after crawling, and every entry carries the
+  fetch counters of the crawl it came from, so a run that reads an entry
+  reports the counts a fresh crawl would have sent.
+
+One per-domain step, :func:`process_domain`, serves cached and uncached
+runs alike and returns the domain's entry; a run's totals are the sum of
+its entries.
 
 Cache hit/miss counters are surfaced through
 ``PipelineResult.stage_timings`` (count-only entries named
@@ -44,12 +48,10 @@ jobs prove a warm run recomputed nothing.
 from __future__ import annotations
 
 import json
-import os
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro._util.artifacts import content_digest
+from repro._util.artifacts import content_digest, write_text_atomic
 from repro.htmlkit import TextDocument, TextLine
 from repro.pipeline.records import DomainAnnotations
 from repro.pipeline.runner import (
@@ -298,8 +300,9 @@ class PipelineCache:
     """A content-addressed, crash-safe result store rooted at a directory.
 
     Layout: ``<root>/<layer>/<key[:2]>/<key>.json`` with writes going
-    through a same-directory temp file and ``os.replace``, so readers only
-    ever see whole entries. Unreadable or schema-mismatched entries are
+    through :func:`~repro._util.artifacts.write_text_atomic` (a
+    same-directory temp file and ``os.replace``), so readers only ever
+    see whole entries. Unreadable or schema-mismatched entries are
     treated as misses (and a crash can at worst leave a stray ``*.tmp*``
     file, which is ignored).
     """
@@ -315,7 +318,7 @@ class PipelineCache:
         return CachedRecord.from_payload(payload) if payload else None
 
     def store_record(self, key: str, entry: CachedRecord) -> None:
-        self._write(self._path("records", key), entry.to_json())
+        write_text_atomic(self._path("records", key), entry.to_json())
 
     # -- crawl layer -----------------------------------------------------
 
@@ -324,7 +327,7 @@ class PipelineCache:
         return CachedCrawl.from_payload(payload) if payload else None
 
     def store_crawl(self, key: str, entry: CachedCrawl) -> None:
-        self._write(self._path("crawl", key), entry.to_json())
+        write_text_atomic(self._path("crawl", key), entry.to_json())
 
     # -- maintenance -----------------------------------------------------
 
@@ -406,71 +409,49 @@ class PipelineCache:
             return None
         return payload
 
-    @staticmethod
-    def _write(path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(
-            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
-        try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # a failed write must not leave debris behind
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+
+# -- the per-domain pipeline step ---------------------------------------------
 
 
-# -- the cached per-domain pipeline step --------------------------------------
-
-
-def replay_record(corpus, cache: PipelineCache, key: str,
+def replay_record(cache: PipelineCache, key: str,
                   timings) -> CachedRecord | None:
     """The records layer: the stored entry for ``key``, or ``None``.
 
-    Counts a hit or a miss into ``timings``; on a hit the entry's fetch
-    counters are replayed into the live sink, so aggregate
-    ``fetch_stats`` match a fresh run.
+    Counts a hit or a miss into ``timings``. A hit reports the fetch
+    counters stored with it, so a warm run's ``fetch_stats`` match a
+    fresh run's.
     """
     entry = cache.load_record(key)
-    if entry is None:
-        timings.increment(MISS_RECORD)
-        return None
-    timings.increment(HIT_RECORD)
-    corpus.internet.replay_stats(entry.fetch)
+    timings.increment(MISS_RECORD if entry is None else HIT_RECORD)
     return entry
 
 
-def load_or_crawl(corpus, crawler, domain: str, timings,
-                  cache: PipelineCache, keys: CacheKeys) -> CachedCrawl:
-    """The crawl layer: replay the stored entry, or crawl, preprocess and
-    checkpoint a new one.
+def crawl_and_preprocess(crawler, domain: str, timings) -> CachedCrawl:
+    """Crawl and preprocess one domain into its (unstored) crawl-layer
+    entry, with the crawl's own fetch counters."""
+    with timings.stage("crawl"):
+        crawl = crawler.crawl_domain(domain)
+    trace, document, outcome = preprocess_domain(crawl, timings=timings)
+    return CachedCrawl(outcome=outcome, trace=trace, fetch=crawl.fetch,
+                       document=document)
 
-    Fetch counters are replayed into the live sink (hit) or captured into
-    the entry (miss). The entry is stored before the caller annotates: its
-    trace is serialized now, so the segmentation fields
-    :func:`annotate_crawl` adds never leak into the crawl-stage entry.
+
+def load_or_crawl(crawler, domain: str, timings, cache: PipelineCache,
+                  keys: CacheKeys) -> CachedCrawl:
+    """The crawl layer: the stored entry, or a new one from
+    :func:`crawl_and_preprocess`, checkpointed at once.
+
+    The entry is stored before the caller annotates: its trace is
+    serialized now, so the segmentation fields :func:`annotate_crawl`
+    adds never leak into the crawl-stage entry.
     """
-    internet = corpus.internet
     crawl_key = keys.crawl_key(domain)
     entry = cache.load_crawl(crawl_key)
     if entry is not None:
         timings.increment(HIT_CRAWL)
-        internet.replay_stats(entry.fetch)
         return entry
     timings.increment(MISS_CRAWL)
-    with internet.record_stats() as sink:
-        with timings.stage("crawl"):
-            crawl = crawler.crawl_domain(domain)
-        trace, document, early = preprocess_domain(corpus, crawl,
-                                                   timings=timings)
-    # The sink has already folded into the enclosing accounting context;
-    # snapshot it for the entry.
-    entry = CachedCrawl(outcome=early.status if early is not None else "ok",
-                        trace=trace, fetch=FetchStats().merge(sink),
-                        document=document)
+    entry = crawl_and_preprocess(crawler, domain, timings)
     cache.store_crawl(crawl_key, entry)
     return entry
 
@@ -485,7 +466,7 @@ def annotate_crawl(corpus, domain: str, crawl: CachedCrawl,
     otherwise a freshly seeded per-domain model annotates the document,
     exactly as a fresh run would after crawling, and fills the
     segmentation fields of ``crawl.trace``. ``cascade`` is the run's
-    cascade model (see :func:`~repro.pipeline.runner.process_crawl`).
+    cascade model (see :func:`~repro.pipeline.runner.annotate_document`).
     """
     sector = corpus.sector_of.get(domain, "??")
     prompt_tokens = completion_tokens = 0
@@ -505,27 +486,34 @@ def annotate_crawl(corpus, domain: str, crawl: CachedCrawl,
                         fetch=crawl.fetch)
 
 
-def process_domain_cached(corpus, crawler, domain: str,
-                          options: PipelineOptions, timings, cache, keys,
-                          *, cascade,
-                          ) -> tuple[DomainAnnotations, DomainTrace, int, int]:
-    """Run (or replay) one domain through the pipeline with caching.
+def process_domain(corpus, crawler, domain: str, options: PipelineOptions,
+                   timings, cache: PipelineCache | None = None,
+                   keys: CacheKeys | None = None, *,
+                   cascade) -> CachedRecord:
+    """Run one domain through the pipeline, through the cache when one
+    is given.
 
-    Returns ``(record, trace, prompt_tokens, completion_tokens)``, exactly
-    what the uncached per-domain step produces: the records layer
-    (:func:`replay_record`), else the crawl layer (:func:`load_or_crawl`)
-    and the annotate step (:func:`annotate_crawl`), each layer
+    Returns the domain's records-layer entry: record, trace, token counts
+    and the fetch counters of its crawl, whether computed now or stored
+    by an earlier run. Without a cache the domain is crawled,
+    preprocessed (:func:`crawl_and_preprocess`) and annotated
+    (:func:`annotate_crawl`). With one, the records layer
+    (:func:`replay_record`) comes first, then the crawl layer
+    (:func:`load_or_crawl`) and the annotate step, each layer
     checkpointed as soon as its stage completes.
     """
+    if cache is None:
+        crawl = crawl_and_preprocess(crawler, domain, timings)
+        return annotate_crawl(corpus, domain, crawl, options, timings,
+                              cascade=cascade)
     record_key = keys.record_key(domain)
-    entry = replay_record(corpus, cache, record_key, timings)
+    entry = replay_record(cache, record_key, timings)
     if entry is None:
-        crawl = load_or_crawl(corpus, crawler, domain, timings, cache, keys)
+        crawl = load_or_crawl(crawler, domain, timings, cache, keys)
         entry = annotate_crawl(corpus, domain, crawl, options, timings,
                                cascade=cascade)
         cache.store_record(record_key, entry)
-    return (entry.record, entry.trace, entry.prompt_tokens,
-            entry.completion_tokens)
+    return entry
 
 
 __all__ = [
@@ -540,10 +528,11 @@ __all__ = [
     "SCHEMA_VERSION",
     "STAGE_VERSIONS",
     "annotate_crawl",
+    "crawl_and_preprocess",
     "domain_input_fingerprint",
     "load_or_crawl",
     "options_fingerprint",
-    "process_domain_cached",
+    "process_domain",
     "replay_record",
     "site_fingerprint",
 ]

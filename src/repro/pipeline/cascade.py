@@ -41,8 +41,7 @@ still enforces it byte for byte.
 
 **Training provenance.** The distilled model is trained once per process
 from a dedicated bootstrap corpus (its own seed/fraction, its own
-simulated internet — no ledger crosstalk with the serving run) annotated
-by the legacy chatbot path under the run's own option set. The model is
+simulated internet) annotated by the legacy chatbot path under the run's own option set. The model is
 therefore a pure function of :func:`cascade_model_token`'s inputs, which
 is what joins the PR-3 cache key: two runs with equal tokens replay each
 other's cached records safely, and any change to the teacher
@@ -206,7 +205,7 @@ def _train_cascade_model(options, token: str) -> CascadeModel:
 
     # The teacher is the legacy chatbot path under the run's own options —
     # never the cascade itself (no recursion), on a corpus with its own
-    # simulated internet (no fetch-ledger crosstalk with the serving run).
+    # simulated internet.
     teacher_options = replace(options, annotator="chatbot")
     start = time.perf_counter()
     corpus = build_corpus(CorpusConfig(seed=CASCADE_TRAIN_SEED,

@@ -12,7 +12,9 @@ This module exploits that:
    :class:`~repro.crawler.crawler.PrivacyCrawler` and its own per-domain
    chat models, so no mutable state is shared across workers.
 3. Shard results are merged back in original corpus order; token counters
-   and per-worker :class:`~repro.web.net.FetchStats` are summed at join.
+   and :class:`~repro.web.net.FetchStats` are summed at join. A shard's
+   counts are the sums over its domains' entries, cached or fresh, so
+   they travel with the outcome, from a worker process too.
 
 Three interchangeable backends execute the shards
 (:attr:`ExecutorOptions.backend`):
@@ -31,10 +33,6 @@ Three interchangeable backends execute the shards
     deterministically from :class:`~repro.corpus.build.CorpusConfig`
     otherwise) and returns a picklable :class:`ShardOutcome`. Compute-bound
     runs scale with cores because each worker owns a whole interpreter.
-    Fetch-counter deltas are folded back into the parent's
-    :class:`~repro.web.net.SimulatedInternet` ledger via
-    :meth:`~repro.web.net.SimulatedInternet.replay_stats`, so ledger
-    totals match serial runs exactly.
 
 ``"serial"``
     Runs the shards inline, in order, on the calling thread: the same
@@ -62,14 +60,9 @@ from dataclasses import dataclass, field
 from repro._util.profiling import StageTimings
 from repro.corpus.build import CorpusConfig, SyntheticCorpus, build_corpus
 from repro.crawler.crawler import CrawlResult, PrivacyCrawler
+from repro.pipeline.cache import CacheKeys, PipelineCache, process_domain
 from repro.pipeline.records import DomainAnnotations
-from repro.pipeline.runner import (
-    DomainTrace,
-    PipelineOptions,
-    PipelineResult,
-    model_for_domain,
-    process_crawl,
-)
+from repro.pipeline.runner import DomainTrace, PipelineOptions, PipelineResult
 from repro.web.browser import Browser
 from repro.web.net import FetchStats, SimulatedInternet
 
@@ -88,7 +81,7 @@ class ExecutorOptions:
     #: Pool size. 1 degenerates to a (still sharded) serial run.
     workers: int = 4
     #: Domains per shard. Small shards balance load across workers; large
-    #: shards amortise per-shard setup (browser, stats sink, and — for the
+    #: shards amortise per-shard setup (browser, crawler, and — for the
     #: process backend — task pickling).
     shard_size: int = 8
     #: How many times a crashed shard is re-run before the error propagates.
@@ -195,6 +188,9 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
               cache=None, keys=None) -> ShardOutcome:
     """Run one shard with worker-private browser, crawler, and models.
 
+    Every domain runs through the one per-domain step,
+    :func:`~repro.pipeline.cache.process_domain`; the shard's token and
+    fetch counts are the sums of its domains' entries, cached or fresh.
     With ``cache``/``keys`` set, every completed domain is checkpointed to
     the content-addressed store via an atomic temp-file + rename as soon
     as it finishes, so a shard that dies mid-run loses at most the domain
@@ -206,32 +202,16 @@ def run_shard(corpus: SyntheticCorpus, index: int, domains: list[str],
     outcome = ShardOutcome(index=index, domains=list(domains))
     crawler = PrivacyCrawler(Browser(internet=corpus.internet))
     cascade = cascade_model_for(options)
-    if cache is not None:
-        from repro.pipeline.cache import process_domain_cached
-    with corpus.internet.record_stats() as stats:
-        for domain in domains:
-            if cache is not None:
-                record, trace, ptok, ctok = process_domain_cached(
-                    corpus, crawler, domain, options, outcome.timings,
-                    cache, keys, cascade=cascade)
-                outcome.prompt_tokens += ptok
-                outcome.completion_tokens += ctok
-            else:
-                model = model_for_domain(options, domain)
-                with outcome.timings.stage("crawl"):
-                    crawl = crawler.crawl_domain(domain)
-                record, trace = process_crawl(corpus, crawl, model, options,
-                                              timings=outcome.timings,
-                                              cascade=cascade)
-                outcome.prompt_tokens += model.usage.prompt_tokens
-                outcome.completion_tokens += model.usage.completion_tokens
-            outcome.records.append(record)
-            outcome.traces[domain] = trace
-            if progress is not None:
-                progress(domain)
-    # Copy (not alias) the sink: it has already been folded into the
-    # internet-wide ledger and must stay a per-shard snapshot.
-    outcome.fetch_stats = FetchStats().merge(stats)
+    for domain in domains:
+        entry = process_domain(corpus, crawler, domain, options,
+                               outcome.timings, cache, keys, cascade=cascade)
+        outcome.records.append(entry.record)
+        outcome.traces[domain] = entry.trace
+        outcome.prompt_tokens += entry.prompt_tokens
+        outcome.completion_tokens += entry.completion_tokens
+        outcome.fetch_stats.merge(entry.fetch)
+        if progress is not None:
+            progress(domain)
     return outcome
 
 
@@ -298,8 +278,6 @@ def _worker_cache_keys(corpus: SyntheticCorpus, options: PipelineOptions,
                        cache_dir: str):
     """Per-process memo for the (cache, keys) pair of one run."""
     global _WORKER_KEYS
-    from repro.pipeline.cache import CacheKeys, PipelineCache
-
     cached = _WORKER_KEYS
     if (cached is None or cached[0] is not corpus or cached[1] != options
             or cached[2] != cache_dir):
@@ -336,14 +314,8 @@ def _run_shards_process(corpus: SyntheticCorpus, options: PipelineOptions,
                         shards: list[list[str]], executor: ExecutorOptions,
                         relay: "_ProgressRelay",
                         cache=None) -> list[ShardOutcome]:
-    """Run the shards on a process pool and restore ledger parity.
-
-    Worker processes fetch against their *own* corpus copy, so the
-    parent's :class:`SimulatedInternet` ledger never sees those requests;
-    each returned shard's counter delta is folded back in via
-    :meth:`~repro.web.net.SimulatedInternet.replay_stats`, which makes
-    ``internet.stats`` match a serial run exactly.
-    """
+    """Run the shards on a process pool; outcomes come back in
+    completion order, each with its own fetch counters."""
     global _FORK_CORPUS
     cache_dir = str(cache.root) if cache is not None else None
     tasks = [
@@ -361,7 +333,6 @@ def _run_shards_process(corpus: SyntheticCorpus, options: PipelineOptions,
             futures = [pool.submit(run_shard_task, task) for task in tasks]
             for future in as_completed(futures):
                 outcome = future.result()
-                corpus.internet.replay_stats(outcome.fetch_stats)
                 for domain in outcome.domains:
                     relay(domain)
                 outcomes.append(outcome)
@@ -429,8 +400,6 @@ def run_parallel_pipeline(corpus: SyntheticCorpus,
     relay = _ProgressRelay(progress, len(domains))
     keys = None
     if cache is None and cache_dir is not None:
-        from repro.pipeline.cache import PipelineCache
-
         cache = PipelineCache(cache_dir)
 
     if options.annotator == "cascade":
@@ -447,8 +416,6 @@ def run_parallel_pipeline(corpus: SyntheticCorpus,
         return merge_outcomes(outcomes, options)
 
     if cache is not None:
-        from repro.pipeline.cache import CacheKeys
-
         keys = CacheKeys(corpus, options)
 
     def run_with_retries(index: int, shard: list[str]) -> ShardOutcome:
@@ -472,8 +439,7 @@ def run_parallel_pipeline(corpus: SyntheticCorpus,
 def merge_outcomes(outcomes: list[ShardOutcome],
                    options: PipelineOptions) -> PipelineResult:
     """Merge shard outcomes back into original corpus order."""
-    result = PipelineResult(records=[], traces={}, options=options,
-                            fetch_stats=FetchStats())
+    result = PipelineResult(records=[], traces={}, options=options)
     for outcome in sorted(outcomes, key=lambda o: o.index):
         result.records.extend(outcome.records)
         result.traces.update(outcome.traces)
@@ -509,14 +475,13 @@ def crawl_domains(internet: SimulatedInternet, domains: list[str],
     def run(shard: list[str]) -> list[tuple[str, CrawlResult]]:
         crawler = PrivacyCrawler(
             Browser(internet=internet, **browser_kwargs))
-        with internet.record_stats():
-            out = []
-            for domain in shard:
-                crawl = crawler.crawl_domain(domain)
-                crawl.drop_trees()
-                out.append((domain, crawl))
-                relay(domain)
-            return out
+        out = []
+        for domain in shard:
+            crawl = crawler.crawl_domain(domain)
+            crawl.drop_trees()
+            out.append((domain, crawl))
+            relay(domain)
+        return out
 
     shards = make_shards(ordered, executor.shard_size)
     with ThreadPoolExecutor(max_workers=executor.workers) as pool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from repro._util.profiling import StageTimings, stage_scope
 from repro._util.rng import stable_hash
-from repro.chatbot.models import ChatModel, make_model
+from repro.chatbot.models import ChatModel, make_model, model_profile
 from repro.corpus.build import SyntheticCorpus
 from repro.crawler.crawler import CrawlResult
 from repro.pipeline.annotate import (
@@ -60,8 +60,10 @@ class PipelineOptions:
     practice_escalation_threshold: float | None = None
 
     def __post_init__(self):
-        # AnnotateOptions owns the validation; building one surfaces bad
-        # annotator names/thresholds at construction time.
+        # The model table and AnnotateOptions own the validation; an
+        # unknown model name or bad annotator names/thresholds raise here,
+        # at construction time, not at the first domain.
+        model_profile(self.model_name)
         self.annotate_options()
 
     def annotate_options(self) -> AnnotateOptions:
@@ -104,8 +106,9 @@ class PipelineResult:
     options: PipelineOptions
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    #: Fetch counters accumulated by this run only (not the whole internet).
-    fetch_stats: FetchStats | None = None
+    #: Fetch counters of this run: the sum of its domains' crawl counters,
+    #: fresh or stored in the cache.
+    fetch_stats: FetchStats = field(default_factory=FetchStats)
     #: Per-stage wall-clock accounting (crawl/preprocess/segment/annotate);
     #: observability only — never feeds back into records.
     stage_timings: StageTimings = field(default_factory=StageTimings)
@@ -251,46 +254,21 @@ def run_pipeline(corpus: SyntheticCorpus,
                                  cache=cache, cache_dir=cache_dir)
 
 
-def process_crawl(corpus: SyntheticCorpus, crawl: CrawlResult,
-                  model: ChatModel,
-                  options: PipelineOptions,
-                  timings: StageTimings | None = None, *,
-                  cascade) -> tuple[DomainAnnotations, DomainTrace]:
-    """Process one domain's crawl into an annotation record + trace.
-
-    ``timings`` (optional) accumulates per-stage wall clock for the
-    preprocess/segment/annotate stages. ``cascade`` is the run's cascade
-    model, resolved once per run by
-    :func:`~repro.pipeline.cascade.cascade_model_for` (``None`` unless
-    ``options`` select the cascade).
-    """
-    domain = crawl.domain
-    sector = corpus.sector_of.get(domain, "??")
-    trace, document, early = preprocess_domain(corpus, crawl, timings=timings)
-    if early is not None:
-        return early, trace
-    record = annotate_document(domain, sector, document, model, options,
-                               trace=trace, timings=timings, cascade=cascade)
-    return record, trace
-
-
-def preprocess_domain(corpus: SyntheticCorpus, crawl: CrawlResult,
+def preprocess_domain(crawl: CrawlResult,
                       timings: StageTimings | None = None,
-                      ) -> tuple[DomainTrace, "TextDocument | None",
-                                 DomainAnnotations | None]:
-    """The lexicon-independent front half of :func:`process_crawl`.
+                      ) -> tuple[DomainTrace, "TextDocument | None", str]:
+    """The lexicon-independent front half of a domain's pipeline.
 
     Builds the domain trace through the crawl and preprocess stages and
-    returns ``(trace, combined document, early record)``. ``early`` is a
-    crawl-failed/extract-failed record when the pipeline stops before
-    segmentation (and then ``document`` is ``None``); otherwise the caller
-    continues with :func:`annotate_document`. This split is the pipeline
-    cache's stage boundary: everything up to here depends only on page
-    bytes and crawler code, not on the annotation lexicon or model.
+    returns ``(trace, combined document, outcome)``. ``outcome`` is
+    ``"crawl-failed"`` or ``"extract-failed"`` when the pipeline stops
+    before segmentation (and then ``document`` is ``None``), otherwise
+    ``"ok"`` and the caller continues with :func:`annotate_document`.
+    This split is the pipeline cache's stage boundary: everything up to
+    here depends only on page bytes and crawler code, not on the
+    annotation lexicon or model.
     """
-    domain = crawl.domain
-    sector = corpus.sector_of.get(domain, "??")
-    trace = DomainTrace(domain=domain)
+    trace = DomainTrace(domain=crawl.domain)
     trace.navigations = crawl.navigations
     trace.page_errors = crawl.errors()
     potential = crawl.potential_privacy_pages()
@@ -299,17 +277,15 @@ def preprocess_domain(corpus: SyntheticCorpus, crawl: CrawlResult,
     trace.saw_pdf = any(page.is_pdf for page in potential)
 
     if not crawl.crawl_succeeded:
-        return trace, None, DomainAnnotations(domain=domain, sector=sector,
-                                              status="crawl-failed")
+        return trace, None, "crawl-failed"
 
     with stage_scope(timings, "preprocess"):
         pre = preprocess_crawl(crawl)
     trace.retained_pages = pre.page_count()
     trace.drop_reasons = [reason for _, reason in pre.dropped]
     if not pre.ok:
-        return trace, None, DomainAnnotations(domain=domain, sector=sector,
-                                              status="extract-failed")
-    return trace, pre.combined, None
+        return trace, None, "extract-failed"
+    return trace, pre.combined, "ok"
 
 
 def annotate_document(domain: str, sector: str, document,
@@ -318,13 +294,16 @@ def annotate_document(domain: str, sector: str, document,
                       trace: DomainTrace | None = None,
                       timings: StageTimings | None = None, *,
                       cascade) -> DomainAnnotations:
-    """Segment and annotate one preprocessed document (back half of
-    :func:`process_crawl`, whose ``cascade`` it takes).
+    """Segment and annotate one preprocessed document (the back half of
+    a domain's pipeline, after :func:`preprocess_domain`).
 
     A pure function of ``(document, model state, options)`` — the pipeline
     cache replays it against a stored document with a freshly seeded
     per-domain model and gets byte-identical output. ``trace`` (optional)
-    receives the segmentation fields.
+    receives the segmentation fields. ``cascade`` is the run's cascade
+    model, resolved once per run by
+    :func:`~repro.pipeline.cascade.cascade_model_for` (``None`` unless
+    ``options`` select the cascade).
     """
     index = DocumentIndex.for_document(document)
     with stage_scope(timings, "segment"):

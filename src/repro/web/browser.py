@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import FetchError, RobotsDisallowedError
 from repro.web.http import Request, Response, Status
-from repro.web.net import SimulatedInternet
+from repro.web.net import FetchStats, SimulatedInternet
 from repro.web.url import join_url, normalize_url, parse_url
 
 MAX_REDIRECTS = 5
@@ -74,6 +74,8 @@ class Browser:
     history: list[str] = field(default_factory=list)
     #: Failed fetch attempts (attempt numbering and the give-up marker).
     retry_log: list[RetryEvent] = field(default_factory=list)
+    #: Counters of every fetch this browser sent, retries included.
+    stats: FetchStats = field(default_factory=FetchStats, init=False)
 
     def goto(self, url: str) -> PageResult:
         """Navigate to ``url``, following redirects.
@@ -128,7 +130,8 @@ class Browser:
         last_error: FetchError | None = None
         for attempt in range(self.max_retries + 1):
             try:
-                response = self.internet.fetch(request, attempt=attempt)
+                response = self.internet.fetch(request, attempt=attempt,
+                                               stats=self.stats)
             except FetchError as exc:
                 last_error = exc
                 gave_up = attempt == self.max_retries

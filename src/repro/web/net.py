@@ -5,14 +5,18 @@ This is the substrate that replaces the live WWW. Fetch outcomes are
 deterministic functions of ``(seed, url, attempt)``, so crawls are exactly
 reproducible while still exhibiting realistic flakiness (timeouts, resets,
 bot blocking, rate limiting).
+
+The internet keeps no counters of its own. Each fetch counts into the
+:class:`FetchStats` its caller passes: a browser's, and through it the
+crawl's (``CrawlResult.fetch``). A run's totals are the sum of its
+crawls' counts, which travel with each crawl through the pipeline cache
+and back from worker processes.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro._util.rng import derive_rng
 from repro.errors import FetchError
@@ -70,82 +74,6 @@ class SimulatedInternet:
 
     seed: int = 0
     sites: dict[str, Website] = field(default_factory=dict)
-    stats: FetchStats = field(default_factory=FetchStats)
-    _stats_lock: threading.Lock = field(default_factory=threading.Lock,
-                                        repr=False, compare=False)
-    _local: threading.local = field(default_factory=threading.local,
-                                    repr=False, compare=False)
-
-    # -- stats accounting ------------------------------------------------------
-    #
-    # ``stats`` is the cumulative, instance-wide ledger. Concurrent crawlers
-    # must not increment it directly from worker threads (lost updates), so
-    # each worker installs a thread-local sink via :meth:`record_stats`; the
-    # sink is merged into the enclosing sink — or, at the outermost level,
-    # into ``stats`` under a lock — when the context exits.
-
-    def __getstate__(self) -> dict:
-        """Pickle support: locks and thread-local sink stacks are
-        per-process runtime state, not data — drop them and rebuild fresh
-        on unpickle (the shard-task protocol ships corpora to worker
-        processes, see ``repro.pipeline.parallel``)."""
-        state = self.__dict__.copy()
-        state.pop("_stats_lock", None)
-        state.pop("_local", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
-        self._local = threading.local()
-
-    @contextmanager
-    def record_stats(self) -> Iterator[FetchStats]:
-        """Collect this thread's fetch counters into a private sink.
-
-        Nested contexts stack: an inner sink folds into the outer one on
-        exit; the outermost sink folds into the global :attr:`stats`.
-        """
-        sink = FetchStats()
-        stack = getattr(self._local, "sinks", None)
-        if stack is None:
-            stack = self._local.sinks = []
-        stack.append(sink)
-        try:
-            yield sink
-        finally:
-            stack.pop()
-            if stack:
-                stack[-1].merge(sink)
-            else:
-                with self._stats_lock:
-                    self.stats.merge(sink)
-
-    def replay_stats(self, stats: FetchStats) -> None:
-        """Fold previously captured counters into the active sink.
-
-        Used by the pipeline cache: when a domain's result is served from
-        the content-addressed store, the fetches it *would* have issued are
-        replayed into the current accounting context so a cached run
-        reports the same counters as a fresh one. Outside any
-        :meth:`record_stats` context the counters fold into the global
-        ledger under the lock.
-        """
-        stack = getattr(self._local, "sinks", None)
-        if stack:
-            stack[-1].merge(stats)
-            return
-        with self._stats_lock:
-            self.stats.merge(stats)
-
-    def _count(self, counter: str) -> None:
-        stack = getattr(self._local, "sinks", None)
-        if stack:
-            sink = stack[-1]
-            setattr(sink, counter, getattr(sink, counter) + 1)
-            return
-        with self._stats_lock:
-            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
 
     def register(self, site: Website) -> None:
         self.sites[site.domain.lower()] = site
@@ -164,29 +92,35 @@ class SimulatedInternet:
 
     # -- fetch semantics -----------------------------------------------------
 
-    def fetch(self, request: Request, attempt: int = 0) -> Response:
+    def fetch(self, request: Request, attempt: int = 0,
+              stats: FetchStats | None = None) -> Response:
         """Serve one request (no redirect following; clients do that).
+
+        The request and its outcome are counted into ``stats``, the
+        caller's own counters; the internet itself keeps none.
 
         Raises:
             FetchError: On DNS failure, timeout, or connection reset.
         """
-        self._count("requests")
+        if stats is None:
+            stats = FetchStats()
+        stats.requests += 1
         url = parse_url(request.url)
         site = self.site_for_host(url.host)
         if site is None:
-            self._count("dns_failures")
+            stats.dns_failures += 1
             raise FetchError(request.url, "dns", f"cannot resolve host {url.host!r}")
 
         rng = derive_rng(self.seed, "fetch", request.url, attempt)
         if site.timeout_probability and rng.random() < site.timeout_probability:
-            self._count("timeouts")
+            stats.timeouts += 1
             raise FetchError(request.url, "timeout")
         if site.reset_probability and rng.random() < site.reset_probability:
-            self._count("resets")
+            stats.resets += 1
             raise FetchError(request.url, "connection-reset")
 
         if site.blocks_bots and _looks_like_bot(request.user_agent):
-            self._count("blocked")
+            stats.blocked += 1
             return Response(
                 url=request.url,
                 status=Status.FORBIDDEN,
@@ -197,7 +131,7 @@ class SimulatedInternet:
 
         page = site.page(url.path)
         if page is None:
-            self._count("not_found")
+            stats.not_found += 1
             return Response(
                 url=request.url,
                 status=Status.NOT_FOUND,
@@ -206,7 +140,7 @@ class SimulatedInternet:
             )
 
         if page.latency_ms > request.timeout_ms:
-            self._count("timeouts")
+            stats.timeouts += 1
             raise FetchError(request.url, "timeout")
 
         if page.redirect_to is not None:
@@ -219,7 +153,7 @@ class SimulatedInternet:
 
         budget_ms = request.timeout_ms - page.latency_ms
         body = page.rendered_html(request.render_js, budget_ms)
-        self._count("successes")
+        stats.successes += 1
         return Response(
             url=request.url,
             status=page.status,

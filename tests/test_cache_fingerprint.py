@@ -58,7 +58,7 @@ def test_digest_changes_on_any_entry_change(mapping, key, value):
 
 _OPTION_VARIANTS = [
     (field.name,
-     {"model_name": "sim-gpt-3.5", "model_seed": 12345,
+     {"model_name": "sim-gpt-3.5-turbo", "model_seed": 12345,
       "annotator": "cascade", "escalation_threshold": 0.5,
       "practice_escalation_threshold": 0.7}.get(field.name, None))
     for field in dataclasses.fields(PipelineOptions)

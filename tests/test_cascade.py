@@ -97,7 +97,8 @@ class TestModelProvenance:
 
     def test_token_tracks_teacher_configuration(self):
         for changed in (
-            PipelineOptions(annotator="cascade", model_name="sim-gpt-3.5"),
+            PipelineOptions(annotator="cascade",
+                            model_name="sim-gpt-3.5-turbo"),
             PipelineOptions(annotator="cascade", model_seed=99),
             PipelineOptions(annotator="cascade", include_negation=False),
         ):

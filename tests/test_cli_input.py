@@ -33,6 +33,7 @@ def _fails_with(capsys, argv, error_line):
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert error_line in captured.err.splitlines()
+    return captured.err
 
 
 @pytest.mark.parametrize("argv, error_line", [
@@ -80,6 +81,24 @@ def test_fraction_outside_unit_interval_is_a_usage_error(capsys, fraction):
     _fails_with(capsys, ["--fraction", fraction, "run"],
                 f"repro-pipeline: error: --fraction: fraction must be in "
                 f"(0, 1], got {float(fraction)}")
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["serve-snapshot", "--from-cache", "--out", "{tmp}/s.json"],
+    ["ingest", "--once", "--out", "{tmp}/live.snap.json"],
+], ids=["run", "serve-snapshot-from-cache", "ingest"])
+def test_unknown_model_is_a_usage_error_before_any_build(capsys, tmp_path,
+                                                         command):
+    command = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+    err = _fails_with(
+        capsys, [*SMALL, "--model", "bogus", "--cache-dir",
+                 str(tmp_path / "cache"), *command],
+        "repro-pipeline: error: --model: unknown model 'bogus'; available: "
+        "['sim-gpt-3.5-turbo', 'sim-gpt-4-turbo', 'sim-llama-3.1', "
+        "'sim-oracle']")
+    assert "building corpus" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_snapshot_from_cold_cache_is_a_usage_error(capsys, tmp_path):

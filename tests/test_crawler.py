@@ -8,7 +8,14 @@ from repro.crawler import (
     same_site,
     top_privacy_links,
 )
-from repro.web import Browser, SimPage, SimulatedInternet, Status, Website
+from repro.web import (
+    Browser,
+    FetchStats,
+    SimPage,
+    SimulatedInternet,
+    Status,
+    Website,
+)
 
 
 def _page(body: str, footer: str = "") -> str:
@@ -167,3 +174,25 @@ class TestCrawler:
         assert not result.crawl_succeeded
         homepage = result.homepage
         assert homepage.status == int(Status.FORBIDDEN)
+
+    def test_each_crawl_counts_its_own_fetches(self):
+        net = SimulatedInternet(seed=1)
+        flaky = _make_site("flaky.com")
+        flaky.timeout_probability = 1.0
+        for site in (_make_site(), flaky):
+            net.register(site)
+        browser = Browser(internet=net)
+        crawler = PrivacyCrawler(browser)
+        first = crawler.crawl_domain("crawl-test.com")
+        counted = first.fetch.as_dict()
+        second = crawler.crawl_domain("flaky.com")
+        # Homepage and footer link found, both probes 404; a later crawl
+        # leaves an earlier result's counts as they were.
+        assert counted == {**FetchStats().as_dict(), "requests": 4,
+                           "successes": 2, "not_found": 2}
+        assert first.fetch.as_dict() == counted
+        # Every homepage and probe attempt timed out, retries included.
+        assert second.fetch.requests == second.fetch.timeouts == \
+            second.navigations * (browser.max_retries + 1)
+        assert browser.stats.as_dict() == \
+            FetchStats.total([first.fetch, second.fetch]).as_dict()

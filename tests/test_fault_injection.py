@@ -97,21 +97,6 @@ class TestParallelUnderFaults:
         assert serial.fetch_stats.as_dict() == \
             parallel_result.fetch_stats.as_dict()
 
-    def test_global_ledger_accumulates_run_totals(self, hostile_corpus):
-        # Worker sinks must fold into the instance-wide ledger at join:
-        # after a run, the ledger grows by exactly the run's own counters.
-        before = FetchStats().merge(hostile_corpus.internet.stats)
-        result = run_parallel_pipeline(
-            hostile_corpus, PipelineOptions(model_seed=2),
-            executor=ExecutorOptions(workers=3, shard_size=4),
-        )
-        after = hostile_corpus.internet.stats
-        grew = {
-            name: after.as_dict()[name] - before.as_dict()[name]
-            for name in before.as_dict()
-        }
-        assert grew == result.fetch_stats.as_dict()
-
 
 class TestParallelCrawlUnderFaults:
     def test_crawl_domains_matches_serial_statuses(self, hostile_corpus):
@@ -148,7 +133,7 @@ class TestBrowserRetry:
             browser.goto("https://flaky.com/")
         assert exc.value.reason == "timeout"
         # One fetch per attempt: the initial try plus three retries.
-        assert net.stats.requests == 4
+        assert browser.stats.requests == 4
         assert [e.attempt for e in browser.retry_log] == [0, 1, 2, 3]
         assert [e.gave_up for e in browser.retry_log] == \
             [False, False, False, True]
@@ -164,7 +149,7 @@ class TestBrowserRetry:
         attempts = [e.attempt for e in browser.retry_log]
         assert attempts == list(range(len(attempts)))
         assert not any(e.gave_up for e in browser.retry_log)
-        assert net.stats.requests == len(attempts) + 1
+        assert browser.stats.requests == len(attempts) + 1
 
     def test_zero_retries_fails_fast(self):
         net, _ = _flaky_net(reset_probability=1.0)
@@ -172,7 +157,7 @@ class TestBrowserRetry:
         with pytest.raises(FetchError) as exc:
             browser.goto("https://flaky.com/")
         assert exc.value.reason == "connection-reset"
-        assert net.stats.requests == 1
+        assert browser.stats.requests == 1
         assert browser.retry_log[0].gave_up
 
     def test_backoff_doubles_and_skips_final_attempt(self, monkeypatch):

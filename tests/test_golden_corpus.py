@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
 
+import repro.pipeline.parallel as parallel_mod
 from repro.pipeline import ExecutorOptions, PipelineOptions, run_pipeline
 from repro.pipeline import runner
 
@@ -211,6 +213,21 @@ def test_backend_matrix_matches_golden(small_corpus, golden, backend,
         executor=ExecutorOptions(workers=workers, shard_size=4,
                                  backend=backend))
     _assert_matches(_snapshot(result), golden, f"{backend} w{workers}")
+
+
+@pytest.mark.slow
+def test_spawned_process_workers_match_golden(small_corpus, golden,
+                                              monkeypatch):
+    """The process backend under the ``spawn`` start method: no worker
+    inherits the parent's corpus, each rebuilds it from the task's
+    ``CorpusConfig``, and records, traces, token totals and fetch
+    counters come back only through the pickled shard outcomes."""
+    monkeypatch.setattr(parallel_mod, "_process_pool_context",
+                        lambda: multiprocessing.get_context("spawn"))
+    result = run_pipeline(
+        small_corpus, OPTIONS, domains=GOLDEN_DOMAINS,
+        executor=ExecutorOptions(workers=2, shard_size=4, backend="process"))
+    _assert_matches(_snapshot(result), golden, "process spawn w2")
 
 
 @pytest.mark.slow

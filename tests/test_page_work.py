@@ -9,7 +9,10 @@ globals the pipeline looks up:
 - storing a records entry decodes no JSON;
 - every crawl and records entry file holds the bytes ``json.dump``
   wrote for the decoded payload (the pure-Python encoder, the one
-  ``json.dump`` always takes), so no cache file changes.
+  ``json.dump`` always takes), so no cache file changes;
+- the run's fetch counters count the fetches the simulated internet
+  served, and a warm run over the same cache serves none yet reports
+  the same counters.
 """
 
 from __future__ import annotations
@@ -29,9 +32,11 @@ from repro.crawler.crawler import PageRecord, PrivacyCrawler
 from repro.htmlkit.dom import parse_html
 from repro.pipeline import PipelineOptions, run_pipeline
 from repro.pipeline.cache import SCHEMA_VERSION, PipelineCache
+from repro.web.net import SimulatedInternet
 
+GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_DOMAINS = json.loads(
-    (Path(__file__).parent / "golden" / "meta.json").read_text())["domains"]
+    (GOLDEN_DIR / "meta.json").read_text())["domains"]
 
 
 def _patch_everywhere(mp, real, fake) -> None:
@@ -61,6 +66,8 @@ class _Work:
         self.store_decodes = []  # JSON decodes inside each store_record
         self.decodes = 0
         self.expected = {}      # (layer, key) -> the parent's file text
+        self.fetches = []       # URLs SimulatedInternet.fetch served
+        self.result = None      # the run's PipelineResult
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +158,7 @@ def work(small_corpus, tmp_path_factory) -> tuple[_Work, PipelineCache]:
         real_store_crawl(self, key, entry)
 
     with pytest.MonkeyPatch.context() as mp:
+        _count_fetches(mp, w.fetches)
         _patch_everywhere(mp, real_parse, parse)
         _patch_everywhere(mp, real_tokenize, counting_tokenize)
         mp.setattr(PageRecord, "tree", property(tree))
@@ -161,9 +169,19 @@ def work(small_corpus, tmp_path_factory) -> tuple[_Work, PipelineCache]:
         mp.setattr(json.JSONDecoder, "decode", decode)
         mp.setattr(PipelineCache, "store_record", store_record)
         mp.setattr(PipelineCache, "store_crawl", store_crawl)
-        run_pipeline(small_corpus, PipelineOptions(), domains=GOLDEN_DOMAINS,
-                     cache=cache)
+        w.result = run_pipeline(small_corpus, PipelineOptions(),
+                                domains=GOLDEN_DOMAINS, cache=cache)
     return w, cache
+
+
+def _count_fetches(mp, sent: list) -> None:
+    real_fetch = SimulatedInternet.fetch
+
+    def fetch(self, request, *args, **kwargs):
+        sent.append(request.url)
+        return real_fetch(self, request, *args, **kwargs)
+
+    mp.setattr(SimulatedInternet, "fetch", fetch)
 
 
 def _page_of(w: _Work, root) -> PageRecord:
@@ -218,3 +236,18 @@ def test_cache_files_hold_the_bytes_json_dump_wrote(work):
     for (layer, key), text in w.expected.items():
         path = cache.root / layer / key[:2] / f"{key}.json"
         assert path.read_bytes() == text.encode("utf-8"), (layer, key)
+
+
+def test_fetch_counters_count_the_fetches_sent(work, small_corpus):
+    w, cache = work
+    golden = json.loads((GOLDEN_DIR / "summary.json").read_text())
+    assert len(w.fetches) == w.result.fetch_stats.requests == \
+        golden["fetch_stats"]["requests"]
+    assert w.result.fetch_stats.as_dict() == golden["fetch_stats"]
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        _count_fetches(mp, sent)
+        warm = run_pipeline(small_corpus, PipelineOptions(),
+                            domains=GOLDEN_DOMAINS, cache=cache)
+    assert sent == []
+    assert warm.fetch_stats.as_dict() == golden["fetch_stats"]

@@ -1,11 +1,12 @@
 """Process-backend executor: determinism, pickling, retries, cache safety.
 
 The contract: ``ExecutorOptions(backend="process")`` produces records,
-traces, token totals, fetch stats, *and* internet-ledger totals
-byte-identical to the serial run — whether the worker inherits the
-parent's corpus through ``fork`` or reconstructs it from
-:class:`CorpusConfig` — and the content-addressed store stays uncorrupted
-under concurrent multi-process writers.
+traces, token totals and fetch stats byte-identical to the serial run —
+whether the worker inherits the parent's corpus through ``fork`` or
+reconstructs it from :class:`CorpusConfig` — and the content-addressed
+store stays uncorrupted under concurrent multi-process writers. Fetch
+stats come back inside each shard's outcome; the parent's
+:class:`~repro.web.net.SimulatedInternet` keeps no counters to match.
 """
 
 from __future__ import annotations
@@ -70,17 +71,6 @@ class TestProcessBackendDeterminism:
             executor=ExecutorOptions(workers=4, backend="serial"))
         assert _signature(result) == _signature(serial_result)
 
-    def test_internet_ledger_matches_serial(self):
-        """Worker-process fetch counters must replay into the parent ledger."""
-        serial_corpus = build_corpus(CorpusConfig(seed=SEED, fraction=FRACTION))
-        run_pipeline(serial_corpus, OPTS)
-        process_corpus = build_corpus(CorpusConfig(seed=SEED, fraction=FRACTION))
-        run_pipeline(process_corpus, OPTS,
-                     executor=ExecutorOptions(workers=4, backend="process"))
-        assert process_corpus.internet.stats.as_dict() == \
-            serial_corpus.internet.stats.as_dict()
-        assert process_corpus.internet.stats.requests > 0
-
     def test_progress_covers_every_domain(self, corpus):
         calls = []
         run_pipeline(corpus, OPTS,
@@ -110,14 +100,9 @@ class TestShardTaskProtocol:
         assert clone.timings.as_dict().keys() == outcome.timings.as_dict().keys()
 
     def test_simulated_internet_is_picklable(self, corpus):
-        """Locks/thread-locals are rebuilt on unpickle; data survives."""
         clone = pickle.loads(pickle.dumps(corpus.internet))
         assert clone.seed == corpus.internet.seed
         assert set(clone.sites) == set(corpus.internet.sites)
-        # The rebuilt lock must actually work.
-        with clone.record_stats() as sink:
-            clone.replay_stats(FetchStats(requests=2, successes=1))
-        assert sink.requests == 2
 
     def test_worker_reconstructs_corpus_from_config(self, corpus,
                                                     monkeypatch):

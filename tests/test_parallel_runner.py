@@ -23,6 +23,7 @@ from repro.pipeline import (
     run_parallel_pipeline,
     run_pipeline,
 )
+from repro.web import SimulatedInternet
 
 SEED = 7
 FRACTION = 0.03
@@ -209,18 +210,25 @@ class TestCrawlDomainsDedupe:
             assert [p.requested_url for p in doubled[domain].pages] == \
                 [p.requested_url for p in plain[domain].pages]
 
-    def test_duplicates_issue_no_extra_requests(self, corpus):
+    def test_duplicates_issue_no_extra_requests(self, corpus, monkeypatch):
         from repro.pipeline import crawl_domains
 
+        sent = []
+        real_fetch = SimulatedInternet.fetch
+
+        def fetch(self, *args, **kwargs):
+            sent.append(args[0].url)
+            return real_fetch(self, *args, **kwargs)
+
+        monkeypatch.setattr(SimulatedInternet, "fetch", fetch)
         unique = corpus.domains[4:8]
-        before = corpus.internet.stats.requests
         crawl_domains(corpus.internet, unique,
                       executor=ExecutorOptions(workers=2, shard_size=2))
-        after_unique = corpus.internet.stats.requests
+        once = sorted(sent)
+        sent.clear()
         crawl_domains(corpus.internet, unique * 4,
                       executor=ExecutorOptions(workers=2, shard_size=2))
-        after_doubled = corpus.internet.stats.requests
-        assert after_doubled - after_unique == after_unique - before
+        assert once and sorted(sent) == once
 
 
 class TestRetryBackoff:

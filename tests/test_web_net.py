@@ -7,6 +7,7 @@ from repro.web import (
     ALLOW_ALL,
     Browser,
     DENY_ALL,
+    FetchStats,
     Request,
     RobotsPolicy,
     SimPage,
@@ -126,9 +127,11 @@ class TestSimulatedInternet:
 
     def test_stats_counted(self):
         net, _ = _simple_net()
-        net.fetch(Request(url="https://acme.com/"))
-        assert net.stats.requests == 1
-        assert net.stats.successes == 1
+        stats = FetchStats()
+        net.fetch(Request(url="https://acme.com/"), stats=stats)
+        net.fetch(Request(url="https://acme.com/nope"), stats=stats)
+        assert stats.as_dict() == {**FetchStats().as_dict(), "requests": 2,
+                                   "successes": 1, "not_found": 1}
 
 
 class TestJsRendering:
