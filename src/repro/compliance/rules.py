@@ -227,13 +227,14 @@ def evaluate_rule(rule: ComplianceRule, form: LogicalForm) -> dict:
     if rule.applies_when is not None and not holds(rule.applies_when, form):
         return {"verdict": "satisfied", "applicable": False,
                 "evidence": []}
-    applicability = (support_spans(rule.applies_when, form)
-                     if rule.applies_when is not None else [])
     if holds(rule.requirement, form):
         spans = support_spans(rule.requirement, form)
         return {"verdict": "satisfied", "applicable": True,
                 "evidence": spans[:MAX_EVIDENCE_SPANS]}
-    spans = refute_spans(rule.requirement, form) or applicability
+    # With nothing to refute, a violation shows why the rule applied.
+    spans = refute_spans(rule.requirement, form) or (
+        support_spans(rule.applies_when, form)
+        if rule.applies_when is not None else [])
     return {"verdict": "violated", "applicable": True,
             "evidence": spans[:MAX_EVIDENCE_SPANS]}
 

@@ -33,7 +33,6 @@ from repro.chatbot.lexicon import Token, stem_token, tokenize_with_spans
 from repro.chatbot.negation import NegationScope, find_negation_scopes
 from repro.chatbot.practices import (
     PracticeHit,
-    RetentionPeriod,
     detect_practices,
     parse_retention_period,
 )
@@ -57,18 +56,43 @@ def sentence_spans(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(spans)
 
 
-class LineAnalysis:
-    """Lazily computed, cached NLP facts about one line of policy text."""
+_MISSING = object()
 
-    __slots__ = ("text", "_index", "memo",
+
+def _memoized(compute, memo: dict):
+    """``compute`` memoized in ``memo`` (a ``None`` result included).
+
+    The closure holds the memo dict and nothing else, so a
+    :class:`LineAnalysis` holding it keeps no reference back to its
+    :class:`DocumentIndex`: the index and its lines form no reference
+    cycle, and are freed by reference counting, not by the cyclic
+    collector.
+    """
+    def lookup(key):
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = compute(key)
+        return value
+    return lookup
+
+
+class LineAnalysis:
+    """Lazily computed, cached NLP facts about one line of policy text.
+
+    ``stem`` and ``retention_period`` are the owning index's
+    document-wide memoized functions (:class:`DocumentIndex`).
+    """
+
+    __slots__ = ("text", "stem", "_retention_period", "memo",
                  "_tokens", "_scopes", "_sentence_spans", "_sentences",
                  "_aspect")
 
     _UNSET = object()
 
-    def __init__(self, text: str, index: "DocumentIndex"):
+    def __init__(self, text: str, stem, retention_period):
         self.text = text
-        self._index = index
+        self.stem = stem
+        self._retention_period = retention_period
         #: Open memo for task-specific derived quantities (the engine keys
         #: entries by ``(kind, taxonomy, ...)``).
         self.memo: dict = {}
@@ -83,7 +107,7 @@ class LineAnalysis:
         """Stemmed tokens with character spans (shared stem memo)."""
         if self._tokens is None:
             self._tokens = tuple(
-                tokenize_with_spans(self.text, stem=self._index.stem)
+                tokenize_with_spans(self.text, stem=self.stem)
             )
         return self._tokens
 
@@ -105,11 +129,6 @@ class LineAnalysis:
         if self._sentences is None:
             self._sentences = tuple(sentence_split(self.text))
         return self._sentences
-
-    @property
-    def stem(self):
-        """The owning index's document-wide memoized stemmer."""
-        return self._index.stem
 
     @property
     def aspect(self):
@@ -135,7 +154,7 @@ class LineAnalysis:
                  tuple(detect_practices(
                      sentence, groups=groups,
                      ignore_anonymized_retention=ignore_anonymized_retention,
-                     period=self._index.retention_period(sentence),
+                     period=self._retention_period(sentence),
                  )))
                 for sentence in self.sentences
             )
@@ -152,12 +171,16 @@ class DocumentIndex:
     registered lazily, so the index never changes results — only cost.
     """
 
-    __slots__ = ("_lines", "_stems", "_periods", "_document_text", "_streams")
+    __slots__ = ("_lines", "stem", "retention_period", "_document_text",
+                 "_streams")
 
     def __init__(self, document_text: str | None = None):
         self._lines: dict[str, LineAnalysis] = {}
-        self._stems: dict[str, str] = {}
-        self._periods: dict[str, RetentionPeriod | None] = {}
+        #: Memoized :func:`~repro.chatbot.lexicon.stem_token`.
+        self.stem = _memoized(stem_token, {})
+        #: Memoized
+        #: :func:`~repro.chatbot.practices.parse_retention_period`.
+        self.retention_period = _memoized(parse_retention_period, {})
         self._document_text = document_text
         self._streams: tuple[str, str] | None = None
 
@@ -168,32 +191,18 @@ class DocumentIndex:
         lines = index._lines
         for line in document.lines:
             if line.text not in lines:
-                lines[line.text] = LineAnalysis(line.text, index)
+                lines[line.text] = index._new_line(line.text)
         return index
+
+    def _new_line(self, text: str) -> LineAnalysis:
+        return LineAnalysis(text, self.stem, self.retention_period)
 
     def analysis(self, text: str) -> LineAnalysis:
         """The (cached) analysis for one line of text."""
         entry = self._lines.get(text)
         if entry is None:
-            entry = LineAnalysis(text, self)
-            self._lines[text] = entry
+            entry = self._lines[text] = self._new_line(text)
         return entry
-
-    def stem(self, token: str) -> str:
-        """Memoized :func:`~repro.chatbot.lexicon.stem_token`."""
-        stem = self._stems.get(token)
-        if stem is None:
-            stem = stem_token(token)
-            self._stems[token] = stem
-        return stem
-
-    def retention_period(self, sentence: str) -> RetentionPeriod | None:
-        """Memoized :func:`~repro.chatbot.practices.parse_retention_period`."""
-        if sentence in self._periods:
-            return self._periods[sentence]
-        period = parse_retention_period(sentence)
-        self._periods[sentence] = period
-        return period
 
     @property
     def document_text(self) -> str | None:

@@ -8,6 +8,7 @@ annotation in context.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -77,9 +78,10 @@ class DomainAnnotations:
     the next one as they are; an edit is ``dataclasses.replace``.
     Sequence fields are tuples (a list passed in is converted), which
     render as the same JSON lists. The canonical JSON (:meth:`canonical`)
-    is rendered once and kept on the object outside its fields, as
-    ``Atom.token`` keeps its string: equality, hashing and payloads never
-    see it, and ``dataclasses.replace`` starts without it.
+    and its :meth:`digest` are computed once and kept on the object
+    outside its fields, as ``Atom.token`` keeps its string: equality,
+    hashing and payloads never see them, and ``dataclasses.replace``
+    starts without them.
     """
 
     domain: str
@@ -142,6 +144,17 @@ class DomainAnnotations:
             text = canonical_json(json.loads(self.to_json()))
             object.__setattr__(self, "_canonical", text)
             return text
+
+    def digest(self) -> str:
+        """SHA-256 of :meth:`canonical`, computed once: the record's
+        content id, which the serving cache keys a domain lookup by."""
+        try:
+            return self._digest
+        except AttributeError:
+            value = hashlib.sha256(
+                self.canonical().encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_digest", value)
+            return value
 
     @classmethod
     def from_payload(cls, data: dict) -> "DomainAnnotations":

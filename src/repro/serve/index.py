@@ -13,14 +13,16 @@ dict/list lookups:
   stream without touching the records again),
 - the paper's Table-1/2a/2b/3 aggregates plus a corpus summary, rendered
   eagerly from integer partials so ``TableAggregate`` queries are O(1)
-  payload fetches, and
+  payload fetches,
 - the **compliance layer**: every record's compiled
   :class:`~repro.compliance.logic.LogicalForm`, posting lists over
   compiled atoms (``atom token → sorted domains`` and ``atom token →
   sorted (domain, line) clauses``) that answer predicate queries by
   exact set algebra (:meth:`CorpusIndex.satisfying_domains`), and
   precomputed rule-pack verdict rows so a ``ComplianceScan`` is a
-  slice, not a scan.
+  slice, not a scan, and
+- a content digest per sector, over its records' digests, which the
+  server's hot-result cache keys sector-scoped answers by.
 
 Every list is stored sorted (domains lexicographically, counts descending
 with lexicographic tie-breaks), which is what makes query results
@@ -54,6 +56,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 
+from repro._util.artifacts import content_digest
 from repro.analysis.stats import unique_counts
 from repro.analysis.tables import COVERAGE_TABLES
 from repro.compliance.logic import Atom, LogicalForm, compile_record
@@ -119,6 +122,14 @@ def _cell(cells: Counter, row: str, scope: str | None, total: int) -> dict:
             "mean": _round(s1 / n if n else 0.0),
             "sd": _round(math.sqrt((n * s2 - s1 * s1) / (n * (n - 1)))
                          if n > 1 else 0.0)}
+
+
+def _sector_digest(domains: list[str],
+                   by_domain: dict[str, DomainAnnotations]) -> str:
+    """Content id of one sector's records: the digest of its (domain,
+    record digest) pairs, in domain order."""
+    return content_digest([(domain, by_domain[domain].digest())
+                           for domain in domains])
 
 
 def record_contribution(record: DomainAnnotations,
@@ -314,11 +325,14 @@ class CorpusIndex:
     #: pack name → rule id → domain → precomputed verdict row.
     compliance_rows: dict[str, dict[str, dict[str, dict]]] = \
         field(default_factory=dict)
+    #: sector → content id of its records (:func:`_sector_digest`); the
+    #: hot-result cache keys a sector-scoped answer by it.
+    sector_digests: dict[str, str] = field(default_factory=dict)
 
     @property
     def fingerprint(self) -> str:
-        """The served snapshot's content fingerprint — the id generation-
-        scoped caches key on."""
+        """The served snapshot's content fingerprint — the id the hot
+        cache keys an answer over the whole corpus by."""
         return self.snapshot.fingerprint
 
     # -- construction ----------------------------------------------------
@@ -391,6 +405,17 @@ class CorpusIndex:
                 for domain in removed:
                     del rows[domain]
                 rows.update(verdicts)
+        # Only the sectors whose domain list the patch wrote are hashed.
+        sectors = {old[domain].sector for domain in removed} \
+            | {record.sector for record in added}
+        if sectors:
+            digests = writer.writable(("sector_digests",))
+            for sector in sectors:
+                domains = index.domains_by_sector.get(sector)
+                if domains is None:
+                    del digests[sector]
+                else:
+                    digests[sector] = _sector_digest(domains, by_domain)
         index.aggregates = index._render_aggregates()
         return index
 

@@ -24,13 +24,18 @@ surface):
 
 Every query is a frozen dataclass with a canonical dict rendering
 (:func:`query_payload`); :func:`query_fingerprint` hashes that rendering,
-giving the server's hot-result cache a key that is independent of how the
-query object was constructed. The fingerprint and a predicate's parse
-are memoized on the query object, outside its fields, so a request
-parses and hashes its query once however many layers ask. Execution is
-pure and deterministic: the same query against the same snapshot always
-yields the same :class:`QueryResult`, whose :meth:`QueryResult.to_json`
-is byte-stable.
+so equal queries share one fingerprint however the object was built.
+:func:`query_scope` names the records a query's answer reads, declared
+per query class: one domain's record, one sector's records, or the whole
+corpus. The server's hot-result cache keys an answer by the digest of
+its scope's records plus the query fingerprint, so a live swap that
+leaves those records alone leaves the cached answer valid. The
+fingerprint, the scope and a predicate's parse are memoized on the
+query object, outside its fields, so a request parses and hashes its
+query once however many layers ask. Execution is pure and
+deterministic: the same query against the same records always yields
+the same :class:`QueryResult`, whose :meth:`QueryResult.to_json` is
+byte-stable.
 :class:`QueryEngine` is the only executor: a sharded snapshot is served
 by the same handlers over one index of its merged records.
 """
@@ -170,6 +175,57 @@ def query_kind(query: Query) -> str:
         return _KINDS[type(query)]
     except KeyError:
         raise QueryError(f"unknown query type {type(query).__name__}")
+
+
+#: Scope kinds (:func:`query_scope`): one domain's record, one sector's.
+RECORD = "record"
+SECTOR = "sector"
+
+
+def _in_sector(query) -> tuple[str, str] | None:
+    return None if query.sector is None else (SECTOR, query.sector)
+
+
+#: What each query class's answer reads, as a function of the query.
+#: Declared per class, never inferred from a ``sector`` field, since a
+#: kind with one could still read more than its sector. Why each scope
+#: holds: a lookup renders its one record; a sector aggregate counts its
+#: sector's records; a filter, top-descriptor list or scan with a sector
+#: answers only from that sector's domains, and whether a domain is in a
+#: posting list, a counter or a verdict row depends on its own record
+#: alone. Everything else reads the corpus: aspect mention lists, tables
+#: (the summary embeds the snapshot fingerprint), predicates (a negation
+#: ranges over every domain), and unsectored filters, lists and scans.
+_SCOPES = {
+    DomainLookup: lambda query: (RECORD, query.domain),
+    SectorAggregate: lambda query: (SECTOR, query.sector),
+    FacetFilter: _in_sector,
+    TopDescriptors: _in_sector,
+    ComplianceScan: _in_sector,
+    AspectMentions: lambda query: None,
+    TableAggregate: lambda query: None,
+    PredicateQuery: lambda query: None,
+}
+
+
+def query_scope(query: Query) -> tuple[str, str] | None:
+    """The records ``query``'s answer reads, computed once per object.
+
+    ``(RECORD, domain)`` is that domain's record, ``(SECTOR, sector)``
+    that sector's records, and ``None`` the whole corpus. The answer is a
+    pure function of those records, so it may be reused for as long as
+    they stay the same.
+    """
+    try:
+        return query._scope
+    except AttributeError:
+        try:
+            make = _SCOPES[type(query)]
+        except KeyError:
+            raise QueryError(f"unknown query type {type(query).__name__}")
+        scope = make(query)
+        object.__setattr__(query, "_scope", scope)
+        return scope
 
 
 def validate_query(query: Query) -> Predicate | None:
@@ -393,5 +449,6 @@ __all__ = [
     "query_fingerprint",
     "query_kind",
     "query_payload",
+    "query_scope",
     "validate_query",
 ]

@@ -10,13 +10,18 @@ into a bounded-concurrency service:
   silent drop) and the shed is counted in the metrics. This is the
   standard load-shedding posture for a latency-sensitive read path:
   fail fast at the front door rather than queue into timeout territory.
-- **Hot-result cache.** A TTL+LRU cache keyed by the canonical query
-  fingerprint (:func:`~repro.serve.query.query_fingerprint`, computed
-  once per query object, so the asyncio fast path, the worker and the
-  engine share one parse and one hash). Because queries are pure
-  functions of the immutable snapshot, a cache hit is byte-identical to
-  recomputation by construction; the TTL exists so a future hot-reload
-  path can bound staleness, and the LRU bound caps memory.
+- **Hot-result cache.** A TTL+LRU cache keyed by the content id of the
+  records an answer reads plus the canonical query fingerprint
+  (:func:`~repro.serve.query.query_fingerprint`, computed once per query
+  object, so the asyncio fast path, the worker and the engine share one
+  parse and one hash). :func:`~repro.serve.query.query_scope` names those
+  records: a domain lookup reads its record, keyed by the record's
+  digest; a sector-scoped query reads its sector, keyed by the sector's
+  digest; anything else reads the corpus, keyed by the snapshot
+  fingerprint. Because an answer is a pure function of the records it
+  reads, a cache hit is byte-identical to recomputation by construction;
+  the TTL bounds how long an entry is kept, and the LRU bound caps
+  memory.
 - **Metrics.** Per-endpoint request/cache/shed counters ride on the same
   :class:`~repro._util.profiling.StageTimings` machinery the pipeline
   uses, plus per-endpoint latency reservoirs for p50/p95/p99. Latencies
@@ -69,10 +74,12 @@ request ever observes a half-built index. Each request captures the
 generation exactly once and serves entirely from that capture: in-flight
 queries finish on the old index (the capture keeps it alive), new
 arrivals see the new one. Nothing else refers to a replaced generation,
-so it is freed when its last in-flight request finishes. Hot-cache keys
-are prefixed with the generation's fingerprint, so entries from a
-superseded generation are structurally unreachable — no flush, no stale
-byte — while a swap to the same content keeps every entry hitting.
+so it is freed when its last in-flight request finishes. A hot-cache
+key is built from the captured generation alone (:func:`_cache_key`):
+an entry is reachable exactly while the records its answer read are the
+ones served, so a swap keeps every answer it did not change hitting —
+no flush, no stale byte — and an entry over changed records is
+structurally unreachable until TTL/LRU evicts it.
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ from dataclasses import dataclass
 
 from repro._util.profiling import StageTimings
 from repro.errors import QueryError, ServeError
-from repro.serve.query import Query, query_fingerprint, query_kind
+from repro.serve.query import RECORD, Query, query_fingerprint, \
+    query_kind, query_scope
 from repro.serve.shard import ShardedSnapshot, engine_for, \
     partition_snapshot
 from repro.serve.snapshot import CorpusSnapshot
@@ -364,6 +372,34 @@ class SwapReport:
         }
 
 
+def _cache_key(gen: _Generation, query: Query) -> str:
+    """The hot-cache key of ``query``'s answer on ``gen``: the content id
+    of the records it reads (:func:`query_scope`), then the query's
+    fingerprint.
+
+    A domain lookup takes its record's digest and a sector-scoped query
+    its sector's digest, so a swap that leaves those records alone
+    leaves the key, and the cached answer, valid. The whole corpus, and
+    a domain or sector the index does not hold, take the generation
+    fingerprint: a "not found" answer is never reused by a generation
+    that holds the domain. Raises :class:`QueryError` for a malformed
+    query.
+    """
+    fingerprint = query_fingerprint(query)
+    scope = query_scope(query)
+    digest = gen.fingerprint
+    if scope is not None:
+        index = gen.engine.index
+        what, name = scope
+        if what == RECORD:
+            record = index.by_domain.get(name)
+            if record is not None:
+                digest = record.digest()
+        else:
+            digest = index.sector_digests.get(name, digest)
+    return f"{digest}:{fingerprint}"
+
+
 def _build_generation(snapshot, config: ServerConfig,
                       reuse: _Generation | None = None) -> _Generation:
     """Assemble a generation off to the side; nothing is installed here.
@@ -455,12 +491,14 @@ class AnnotationServer:
         store — atomic under the GIL. Requests already past their
         generation capture finish on the old index; requests arriving
         after the store serve from the new one; no request is dropped and
-        none can observe a mix. Old hot-cache entries stay behind their
-        old fingerprint prefix (structurally unreachable, evicted by
-        TTL/LRU), and a swap to unchanged content keeps hitting them. The
-        new index is patched from the old one with only the records that
-        changed, for a sharded and an unsharded server alike. Callable
-        whether or not the server is started.
+        none can observe a mix. A hot-cache entry stays reachable while
+        the records its answer read are unchanged (a lookup of an
+        untouched domain, a query scoped to an untouched sector, and
+        everything after a swap to the same content keep hitting), and an
+        entry over changed records becomes unreachable and is evicted by
+        TTL/LRU. The new index is patched from the old one with only the
+        records that changed, for a sharded and an unsharded server alike.
+        Callable whether or not the server is started.
         """
         old = self._gen
         started = self._clock()
@@ -649,7 +687,7 @@ class AnnotationServer:
                              "call start()")
         gen = self._gen
         try:
-            key = f"{gen.fingerprint}:{query_fingerprint(query)}"
+            key = _cache_key(gen, query)
         except QueryError:
             return None
         body = self.cache.get(key)
@@ -688,7 +726,7 @@ class AnnotationServer:
             # fails fingerprinting with the same QueryError message the
             # engine's validation would raise; answer it as a clean
             # query error, not an InternalError.
-            key = f"{gen.fingerprint}:{query_fingerprint(query)}"
+            key = _cache_key(gen, query)
         except QueryError as exc:
             return ServeResponse(status=ERROR, kind=kind, body=str(exc))
         self._record_shard(gen, query)

@@ -1,5 +1,7 @@
 """Tests for the per-document analysis index and its pipeline wiring."""
 
+import sys
+
 import pytest
 
 from repro.chatbot.aspects import classify_line
@@ -104,6 +106,18 @@ class TestDocumentIndex:
         document = _document("We collect Email Addresses.", "Cookies too.")
         index = DocumentIndex.for_document(document)
         assert index.match_streams() == build_match_streams(document.text)
+
+    def test_lines_hold_no_reference_to_their_index(self):
+        """A line holds the index's memoized functions, not the index,
+        so the two form no reference cycle: an index is freed by
+        reference counting, not left to the cyclic collector."""
+        index = DocumentIndex.for_document(_document(LINE, "Cookies too."))
+        analysis = index.analysis(LINE)
+        analysis.practice_hits(None)
+        assert list(analysis.tokens) == tokenize_with_spans(LINE)
+        assert analysis.stem is index.stem
+        # The local name and getrefcount's own argument: nothing else.
+        assert sys.getrefcount(index) == 2
 
 
 class TestBindModelIndex:
