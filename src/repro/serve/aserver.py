@@ -20,11 +20,13 @@ worker pool and moves admission **per tenant**:
   flooding tenant is shed while a well-behaved tenant's error rate stays
   zero).
 - **Inline cache-hit fast path.** Cache hits are served directly on the
-  event loop (:meth:`AnnotationServer.try_cached` — byte-verified,
+  event loop (:meth:`AnnotationServer.try_cached` — checksum-verified,
   metric-recorded), skipping the submit/queue/worker/future round trip
   entirely; only misses cross into the worker pool via
-  ``asyncio.wrap_future``. The fast path is disabled automatically when
-  a fault injector is installed so chaos seams still see every request.
+  ``asyncio.wrap_future``. A hit's endpoint, tenant and shard counters
+  are bumped under one metrics lock, with names formatted once per
+  tenant. The fast path is disabled automatically when a fault injector
+  is installed so chaos seams still see every request.
 - **Windowed rate limits.** On top of the inflight cap, a tenant may
   carry ``TenantQuota.max_per_window``: at most that many requests
   admitted per ``window_s``-second fixed window, measured on an
@@ -39,7 +41,7 @@ worker pool and moves admission **per tenant**:
   this".
 
 Everything the blocking path promises still holds: load shedding is
-explicit, cached bytes are digest-verified, the chaos seams are intact,
+explicit, cached bytes are checksum-verified, the chaos seams are intact,
 and responses are byte-identical to the threaded path (the fast path
 returns the same cached body ``submit`` would).
 """
@@ -147,6 +149,26 @@ class TenantRegistry:
         return sum(t.quota.max_inflight for t in self._by_name.values())
 
 
+class _TenantCounters:
+    """The counter names one tenant's requests bump, formatted once."""
+
+    __slots__ = ("requests", "ok", "shed", "errors", "hit",
+                 "rate_limited", "overloaded")
+
+    def __init__(self, name: str):
+        prefix = f"serve.tenant.{name}."
+        self.requests = prefix + "requests"
+        self.ok = prefix + "ok"
+        self.shed = prefix + "shed"
+        self.errors = prefix + "errors"
+        # What an answer decided in the front end counts for the tenant,
+        # beside the endpoint's counters, under one metrics lock.
+        self.hit = (self.requests, self.ok)
+        self.rate_limited = (self.requests, prefix + "rate_limited",
+                             self.shed)
+        self.overloaded = (self.requests, self.shed)
+
+
 class AsyncFrontEnd:
     """Event-loop request path over a started :class:`AnnotationServer`.
 
@@ -165,6 +187,7 @@ class AsyncFrontEnd:
         self._inflight: dict[str, int] = {}
         #: tenant name → (window start, requests admitted this window).
         self._windows: dict[str, tuple[float, int]] = {}
+        self._counters: dict[str, _TenantCounters] = {}
 
     def inflight(self, name: str) -> int:
         return self._inflight.get(name, 0)
@@ -215,19 +238,19 @@ class AsyncFrontEnd:
                 status=ERROR, kind=kind,
                 body="AuthError: unknown api key")
         name = tenant.name
-        self.server.metrics.increment(f"serve.tenant.{name}.requests")
+        counters = self._counters.get(name)
+        if counters is None:
+            counters = self._counters[name] = _TenantCounters(name)
+        metrics = self.server.metrics
         if not self._admit_window(name, tenant.quota):
-            self.server.metrics.increment(f"serve.tenant.{name}.rate_limited")
-            self.server.metrics.increment(f"serve.tenant.{name}.shed")
-            self.server.metrics.record_shed(kind)
+            metrics.record_shed(kind, counters.rate_limited)
             return ServeResponse(
                 status=OVERLOADED, kind=kind,
                 body=f"TenantRateLimited: tenant {name!r} exceeded "
                      f"{tenant.quota.max_per_window} requests per "
                      f"{tenant.quota.window_s}s window, retry later")
         if self._inflight.get(name, 0) >= tenant.quota.max_inflight:
-            self.server.metrics.increment(f"serve.tenant.{name}.shed")
-            self.server.metrics.record_shed(kind)
+            metrics.record_shed(kind, counters.overloaded)
             return ServeResponse(
                 status=OVERLOADED, kind=kind,
                 body=f"TenantOverloaded: tenant {name!r} at max inflight "
@@ -235,20 +258,20 @@ class AsyncFrontEnd:
         self._inflight[name] = self._inflight.get(name, 0) + 1
         try:
             if self.server.fault_injector is None:
-                response = self.server.try_cached(query)
+                # A hit counts the tenant's requests and ok with its own.
+                response = self.server.try_cached(query, counters.hit)
                 if response is not None:
-                    self.server.metrics.increment(
-                        f"serve.tenant.{name}.ok")
                     return response
+            metrics.increment(counters.requests)
             response = await asyncio.wrap_future(self.server.submit(query))
         finally:
             self._inflight[name] -= 1
         if response.status == OK:
-            self.server.metrics.increment(f"serve.tenant.{name}.ok")
+            metrics.increment(counters.ok)
         elif response.status == OVERLOADED:
-            self.server.metrics.increment(f"serve.tenant.{name}.shed")
+            metrics.increment(counters.shed)
         else:
-            self.server.metrics.increment(f"serve.tenant.{name}.errors")
+            metrics.increment(counters.errors)
         return response
 
 

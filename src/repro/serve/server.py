@@ -37,9 +37,9 @@ already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
 server executes through :class:`~repro.serve.shard.ShardedEngine`, whose
 index is the one ``CorpusIndex`` of the merged records, so
 ``server.index`` is a ``CorpusIndex`` either way and shards are only a
-storage layout. It reports per-shard traffic in the metrics counters
-(``serve.shard.<i>.queries`` for domain lookups,
-``serve.scatter.queries`` for queries over the whole corpus).
+storage layout. It counts each domain lookup against the shard that
+holds its domain (``serve.shard.<i>.queries``); every other kind reads
+the one index, and its ``serve.<kind>.requests`` already counts it.
 
 **Fault seams.** The server exposes explicit, documented seams for the
 chaos harness (:mod:`repro.serve.chaos`) rather than relying on
@@ -51,11 +51,16 @@ entry in place, and an injectable ``clock``. The seams are inert when no
 injector is installed — the zero-fault path is byte-identical to a server
 built without them. Two hardening behaviours back the chaos invariants:
 
-- **Cache entries are digest-verified.** ``put`` stores a SHA-256 of the
-  body alongside it; ``get`` recomputes and treats any mismatch as a miss
-  (the entry is dropped and counted). A poisoned or partially-written
-  entry can therefore never be returned — corruption is detected, not
-  propagated.
+- **Cache entries are checksummed.** ``put`` stores a CRC-32 of the
+  body's UTF-8 encoding alongside it; ``get`` recomputes it over every
+  byte it serves and treats any mismatch as a miss (the entry is dropped
+  and counted). CRC-32 detects every error burst of up to 32 bits, so
+  any one changed character that keeps the UTF-8 length (at most 4
+  adjacent bytes); any other change escapes with probability 2**-32. A
+  poisoned or partially-written entry is therefore detected, not
+  propagated. The cache is in-process, so whatever could rewrite an
+  entry could rewrite its checksum too: a cryptographic digest would
+  buy no security here.
 - **The worker pool self-heals.** A worker that dies mid-request first
   resolves the in-flight future with an explicit ``InternalError``
   response (counted — the request terminates, never stalls), then a
@@ -84,11 +89,11 @@ structurally unreachable until TTL/LRU evicts it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import queue
 import threading
 import time
+import zlib
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -155,8 +160,8 @@ class ServeResponse:
         return self.status == OK
 
 
-def _body_digest(body: str) -> str:
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+def _body_digest(body: str) -> int:
+    return zlib.crc32(body.encode("utf-8"))
 
 
 class ResultCache:
@@ -166,10 +171,14 @@ class ResultCache:
     Entries expire ``ttl_s`` after being stored; reads refresh LRU order
     but never the TTL (a hot entry still ages out, bounding staleness).
 
-    Every body is stored with its SHA-256; ``get`` verifies it and treats
-    a mismatch as a miss, dropping the entry and counting the rejection in
-    ``corruption_rejections``. A poisoned or partially-written entry is
-    therefore recomputed, never served.
+    Every body is stored with the CRC-32 of its UTF-8 encoding; ``get``
+    recomputes it over the whole body and treats a mismatch as a miss,
+    dropping the entry and counting the rejection in
+    ``corruption_rejections``. CRC-32 catches every change confined to 32
+    adjacent bits, hence any one character replaced by another of the
+    same UTF-8 length, and misses any other change with probability
+    2**-32. A poisoned or partially-written entry is therefore
+    recomputed, never served; a hit returns the stored string itself.
     """
 
     def __init__(self, entries: int, ttl_s: float, clock=time.monotonic):
@@ -177,8 +186,9 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._data: OrderedDict[str, tuple[float, str, str]] = OrderedDict()
-        #: Entries dropped because their stored digest no longer matched.
+        self._data: OrderedDict[str, tuple[float, str, int]] = OrderedDict()
+        #: Entries dropped because their stored checksum no longer
+        #: matched.
         self.corruption_rejections = 0
 
     def get(self, key: str) -> str | None:
@@ -211,7 +221,7 @@ class ResultCache:
     def corrupt(self, key: str | None = None) -> str | None:
         """Fault-injection seam: flip one character of a stored body.
 
-        The stored digest is deliberately left stale, modelling a poisoned
+        The stored checksum is deliberately left stale, modelling a poisoned
         or torn entry. With no ``key`` the most-recently-used entry is
         corrupted (the one a hot workload is most likely to re-read).
         Returns the corrupted key, or ``None`` if the cache is empty.
@@ -242,31 +252,62 @@ class ResultCache:
 
 
 class ServeMetrics:
-    """Per-endpoint counters + latency reservoirs, thread-safe."""
+    """Per-endpoint counters + latency reservoirs, thread-safe.
+
+    Each outcome's counter names are formatted once per endpoint, and a
+    request's counters, including the caller's own (``counters``: a
+    tenant's, a shard's), are bumped under one acquisition of the lock.
+    """
 
     def __init__(self, max_samples: int = 100_000):
         self.counters = StageTimings()
         self._max_samples = max_samples
         self._lock = threading.Lock()
         self._latencies: dict[str, list[float]] = {}
+        #: (kind, status, cached) -> the endpoint counters that outcome
+        #: bumps; ``(kind, None, False)`` for a shed. Filled outside the
+        #: lock: threads racing on a new outcome store equal tuples.
+        self._names: dict[tuple, tuple[str, ...]] = {}
+
+    def _outcome_names(self, kind: str, status: str | None,
+                       cached: bool) -> tuple[str, ...]:
+        names = self._names.get((kind, status, cached))
+        if names is None:
+            if status is None:
+                names = (f"serve.{kind}.requests", f"serve.{kind}.shed",
+                         "serve.shed")
+            else:
+                names = (f"serve.{kind}.requests", f"serve.{kind}.{status}")
+                if status == OK:
+                    names += (f"serve.{kind}.cache."
+                              f"{'hit' if cached else 'miss'}",)
+            self._names[(kind, status, cached)] = names
+        return names
 
     def record(self, kind: str, status: str, cached: bool,
-               latency_s: float) -> None:
+               latency_s: float, counters: tuple[str, ...] = ()) -> None:
+        names = self._outcome_names(kind, status, cached)
+        increment = self.counters.increment
         with self._lock:
-            self.counters.increment(f"serve.{kind}.requests")
-            self.counters.increment(f"serve.{kind}.{status}")
-            if status == OK:
-                self.counters.increment(
-                    f"serve.{kind}.cache.{'hit' if cached else 'miss'}")
-            bucket = self._latencies.setdefault(kind, [])
+            for name in names:
+                increment(name)
+            for name in counters:
+                increment(name)
+            bucket = self._latencies.get(kind)
+            if bucket is None:
+                bucket = self._latencies[kind] = []
             if len(bucket) < self._max_samples:
                 bucket.append(latency_s)
 
-    def record_shed(self, kind: str) -> None:
+    def record_shed(self, kind: str,
+                    counters: tuple[str, ...] = ()) -> None:
+        names = self._outcome_names(kind, None, False)
+        increment = self.counters.increment
         with self._lock:
-            self.counters.increment(f"serve.{kind}.requests")
-            self.counters.increment(f"serve.{kind}.shed")
-            self.counters.increment("serve.shed")
+            for name in names:
+                increment(name)
+            for name in counters:
+                increment(name)
 
     def increment(self, name: str, count: int = 1) -> None:
         """Thread-safe bump of an arbitrary counter (worker deaths etc.)."""
@@ -279,11 +320,15 @@ class ServeMetrics:
         return self.counters.count("serve.shed")
 
     def request_count(self, kind: str | None = None) -> int:
+        """Requests to one endpoint, or to all of them: the sum of the
+        ``serve.<kind>.requests`` counters, so a tenant's own
+        ``serve.tenant.<name>.requests`` never counts a request twice."""
         counts = self.counters.counts()
         if kind is not None:
             return counts.get(f"serve.{kind}.requests", 0)
         return sum(count for name, count in counts.items()
-                   if name.endswith(".requests"))
+                   if name.startswith("serve.") and name.count(".") == 2
+                   and name.endswith(".requests"))
 
     def cache_hit_rate(self) -> float:
         counts = self.counters.counts()
@@ -342,6 +387,8 @@ class _Generation:
     sharded: "ShardedSnapshot | None"
     engine: object            # QueryEngine | ShardedEngine
     fingerprint: str
+    #: ``serve.shard.<i>.queries`` for each shard; empty when unsharded.
+    shard_counters: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -411,11 +458,26 @@ def _build_generation(snapshot, config: ServerConfig,
     served = snapshot
     if not isinstance(snapshot, ShardedSnapshot) and config.shards > 1:
         served = partition_snapshot(snapshot, config.shards)
+    sharded = served if isinstance(served, ShardedSnapshot) else None
     return _Generation(
         snapshot=snapshot,
-        sharded=served if isinstance(served, ShardedSnapshot) else None,
+        sharded=sharded,
         engine=engine_for(served, reuse_from=reuse and reuse.engine),
-        fingerprint=served.fingerprint)
+        fingerprint=served.fingerprint,
+        shard_counters=tuple(
+            f"serve.shard.{i}.queries"
+            for i in range(sharded.shard_count if sharded else 0)))
+
+
+def _shard_counter(gen: _Generation, query: Query) -> str | None:
+    """The counter of the shard a domain lookup reads on a sharded
+    generation, else ``None``: every other kind reads the one index of
+    the merged records, and its ``serve.<kind>.requests`` already counts
+    it."""
+    if not gen.shard_counters:
+        return None
+    shard = gen.engine.route(query)
+    return None if shard is None else gen.shard_counters[shard]
 
 
 class WorkerCrash(Exception):
@@ -672,15 +734,18 @@ class AnnotationServer:
                 pass
             self._spawn_worker()
 
-    def try_cached(self, query: Query) -> ServeResponse | None:
+    def try_cached(self, query: Query,
+                   counters: tuple[str, ...] = ()) -> ServeResponse | None:
         """Inline cache-hit fast path: serve a hit without a queue trip.
 
         The asyncio front end calls this on the event loop — a hit is
-        byte-verified and recorded like any served request, a miss (or a
-        malformed query) returns ``None`` so the caller falls back to
-        :meth:`submit`. Front ends must skip this path when a fault
-        injector is installed (:attr:`fault_injector`), so chaos seams
-        still see every request.
+        checksum-verified and recorded like any served request, a miss
+        (or a malformed query) returns ``None`` and counts nothing, so
+        the caller falls back to :meth:`submit`. A hit also bumps the
+        caller's ``counters`` (the front end's per-tenant names), all
+        under one metrics lock. Front ends must skip this path when a
+        fault injector is installed (:attr:`fault_injector`), so chaos
+        seams still see every request.
         """
         if not self._started:
             raise ServeError("server not started; use `with server:` or "
@@ -694,27 +759,15 @@ class AnnotationServer:
         if body is None:
             return None
         kind = query_kind(query)
-        self._record_shard(gen, query)
-        response = ServeResponse(status=OK, kind=kind, body=body,
-                                 cached=True)
-        self.metrics.record(kind, OK, True, 0.0)
-        return response
+        shard = _shard_counter(gen, query)
+        if shard is not None:
+            counters += (shard,)
+        self.metrics.record(kind, OK, True, 0.0, counters)
+        return ServeResponse(status=OK, kind=kind, body=body, cached=True)
 
     @property
     def fault_injector(self):
         return self._injector
-
-    def _record_shard(self, gen: _Generation, query: Query) -> None:
-        """Per-shard accounting: domain lookups count against their
-        shard, queries over the whole corpus against the scatter
-        counter."""
-        if gen.sharded is None:
-            return
-        shard = gen.engine.route(query)
-        if shard is None:
-            self.metrics.increment("serve.scatter.queries")
-        else:
-            self.metrics.increment(f"serve.shard.{shard}.queries")
 
     def _serve_one(self, query: Query, kind: str) -> ServeResponse:
         # The one generation capture for this request: every read below
@@ -729,7 +782,9 @@ class AnnotationServer:
             key = _cache_key(gen, query)
         except QueryError as exc:
             return ServeResponse(status=ERROR, kind=kind, body=str(exc))
-        self._record_shard(gen, query)
+        shard = _shard_counter(gen, query)
+        if shard is not None:
+            self.metrics.increment(shard)
         body = self.cache.get(key)
         if body is not None:
             return ServeResponse(status=OK, kind=kind, body=body,

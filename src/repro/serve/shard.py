@@ -8,8 +8,9 @@ storage layout for serving, which indexes the merged record stream once:
 - **Routing.** ``shard_for_domain`` is a stable SHA-256 placement (never
   Python's randomized ``hash``), so a domain's shard is a pure function
   of ``(domain, shard_count)`` — the same on every host, every process,
-  every run. ``ShardedEngine.route`` names the one shard a
-  ``DomainLookup`` reads, for per-shard traffic counters.
+  every run — and is memoized, so a domain is hashed once per shard
+  count, not once per lookup. ``ShardedEngine.route`` names the one
+  shard a ``DomainLookup`` reads, for per-shard traffic counters.
 - **One index.** :class:`ShardedEngine` is a
   :class:`~repro.serve.query.QueryEngine` over one
   :class:`~repro.serve.index.CorpusIndex` of the merged snapshot, so
@@ -38,6 +39,7 @@ never served.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -67,12 +69,15 @@ MANIFEST_NAME = "manifest.json"
 _DOMAIN_KEY = attrgetter("domain")
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def shard_for_domain(domain: str, shards: int) -> int:
     """Stable shard placement: SHA-256 of the domain, mod shard count.
 
     Deliberately not Python's ``hash`` (randomized per process) — the
     placement must agree across hosts, restarts, and writers/readers of
-    the same sharded directory.
+    the same sharded directory. A pure function of its arguments, so
+    memoized (bounded): the partitioner, the verifier and each routed
+    lookup share one hash per domain and shard count.
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")

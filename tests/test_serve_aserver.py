@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
+import sys
 import threading
 
 import pytest
 
+import repro.serve.server as server_mod
 from repro.errors import TenancyError
 from repro.pipeline.records import DomainAnnotations, TypeAnnotation
 from repro.serve import (
@@ -15,18 +18,24 @@ from repro.serve import (
     OK,
     OVERLOADED,
     AnnotationServer,
+    AspectMentions,
     AsyncFrontEnd,
+    ComplianceScan,
     DomainLookup,
+    FacetFilter,
     PredicateQuery,
+    SectorAggregate,
     ServerConfig,
     TableAggregate,
     TenantQuota,
     TenantRegistry,
+    TopDescriptors,
     WorkloadConfig,
     build_snapshot,
     derive_api_key,
     generate_workload,
     run_tenants,
+    shard_for_domain,
 )
 
 
@@ -93,6 +102,24 @@ class TestHandle:
         counters = server.metrics.as_dict()["counters"]
         assert counters["serve.tenant.acme.requests"] == 1
         assert counters["serve.tenant.acme.ok"] == 1
+
+    def test_request_count_counts_each_request_once(self):
+        """Behind the front end a request bumps its endpoint's
+        ``.requests`` and its tenant's; the total sums the endpoints'."""
+        with AnnotationServer(_snapshot()) as server:
+            front = self._front(server)
+            key = derive_api_key("acme")
+
+            async def scenario():
+                for i in range(8):  # four misses, then four hits
+                    await front.handle(
+                        key, DomainLookup(domain=f"site{i % 4}.com"))
+
+            asyncio.run(scenario())
+        assert server.metrics.request_count() == 8
+        assert server.metrics.request_count("domain") == 8
+        counters = server.metrics.as_dict()["counters"]
+        assert counters["serve.tenant.acme.requests"] == 8
 
     def test_unknown_key_gets_auth_error(self):
         with AnnotationServer(_snapshot()) as server:
@@ -421,3 +448,184 @@ class TestWindowedRateLimit:
         assert limited.status == OVERLOADED
         assert "TenantRateLimited" in limited.body
         assert readmitted.status == OK
+
+
+class _CountingLock:
+    """A lock that counts its acquisitions."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self._lock.__exit__(*exc)
+
+
+class TestHitPath:
+    """What an inline cache hit costs, counted, and what every read
+    counts, pinned."""
+
+    QUERIES = (
+        DomainLookup(domain="site1.com"),
+        DomainLookup(domain="site6.com"),
+        DomainLookup(domain="missing.com"),
+        TableAggregate(table="summary"),
+        ComplianceScan(pack="gdpr"),
+        FacetFilter(facet="types", sector="FI"),
+        SectorAggregate(sector="HC"),
+        TopDescriptors(facet="types", k=3),
+        AspectMentions(aspect="types"),
+        PredicateQuery(predicate=json.dumps(
+            {"op": "atom", "aspect": "types",
+             "category": "Contact information"})),
+    )
+
+    def test_each_hit_takes_one_lock_one_checksum_no_sha256(
+            self, monkeypatch):
+        registry = TenantRegistry()
+        registry.register("acme")
+        key = derive_api_key("acme")
+        with AnnotationServer(_snapshot(), ServerConfig(shards=4)) as server:
+            front = AsyncFrontEnd(server, registry)
+
+            async def read(query):
+                return await front.handle(key, query)
+
+            for query in self.QUERIES:  # warm-up: each one a miss
+                assert not asyncio.run(read(query)).cached
+            lock = _CountingLock()
+            monkeypatch.setattr(server.metrics, "_lock", lock)
+            checksums, sha256s = [], []
+            body_digest = server_mod._body_digest
+            sha256 = hashlib.sha256
+            monkeypatch.setattr(
+                server_mod, "_body_digest",
+                lambda body: checksums.append(body) or body_digest(body))
+            monkeypatch.setattr(
+                hashlib, "sha256",
+                lambda *a, **kw: sha256s.append(a) or sha256(*a, **kw))
+            monkeypatch.setattr(server, "submit", None)  # no queue trip
+            for query in self.QUERIES:
+                before = lock.acquired, len(checksums), len(sha256s)
+                response = asyncio.run(read(query))
+                assert response.ok and response.cached, query
+                assert (lock.acquired, len(checksums), len(sha256s)) == (
+                    before[0] + 1, before[1] + 1, before[2]), query
+                assert checksums[-1] is response.body
+
+    def test_concurrent_hits_lose_no_count(self):
+        """Threads serving inline hits at once, with a tiny switch
+        interval: each counter a hit bumps ends at the number of hits."""
+        query = DomainLookup(domain="site1.com")
+        names = ("serve.tenant.t.requests", "serve.tenant.t.ok")
+        misses = []
+
+        def hammer():
+            for _ in range(500):
+                if server.try_cached(query, names) is None:
+                    misses.append(query)
+
+        with AnnotationServer(_snapshot(), ServerConfig(shards=4)) as server:
+            assert not server.request(query).cached
+            previous = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=hammer)
+                           for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(previous)
+        assert misses == []
+        counters = server.metrics.as_dict()["counters"]
+        shard = f"serve.shard.{shard_for_domain('site1.com', 4)}.queries"
+        assert counters["serve.domain.cache.hit"] == 4000
+        assert counters["serve.tenant.t.requests"] == 4000
+        assert counters["serve.tenant.t.ok"] == 4000
+        assert counters[shard] == 4001  # the warm-up miss, then the hits
+        assert server.metrics.request_count() == 4001
+
+    def test_read_sequence_counts_what_it_always_counted(self):
+        """Hits, misses, an error, a shed, a rate-limited read and an
+        unknown key on a 4-shard server. The pinned totals are the ones
+        the four-lock hit path counted, less the retired
+        ``serve.scatter.queries``."""
+        registry = TenantRegistry()
+        registry.register("acme", TenantQuota(max_inflight=1))
+        registry.register("metered", TenantQuota(
+            max_inflight=4, max_per_window=2, window_s=1.0))
+        acme = derive_api_key("acme")
+        metered = derive_api_key("metered")
+        queries = [DomainLookup(domain="site1.com"),
+                   TableAggregate(table="summary"),
+                   ComplianceScan(pack="gdpr"),
+                   FacetFilter(facet="types", sector="FI"),
+                   DomainLookup(domain="missing.com")]
+        with AnnotationServer(_snapshot(), ServerConfig(shards=4)) as server:
+            front = AsyncFrontEnd(server, registry, clock=lambda: 0.0)
+
+            async def scenario():
+                out = []
+                for query in queries:  # a miss, then a hit
+                    out.append(await front.handle(acme, query))
+                    out.append(await front.handle(acme, query))
+                out.append(await front.handle(
+                    acme, PredicateQuery(predicate="{not json")))
+                # The first read is a miss in flight when the second
+                # arrives, so the second is shed at acme's cap of one.
+                out += await asyncio.gather(
+                    front.handle(acme, DomainLookup(domain="site2.com")),
+                    front.handle(acme, DomainLookup(domain="site3.com")))
+                for query in queries[:3]:  # the third is rate-limited
+                    out.append(await front.handle(metered, query))
+                out.append(await front.handle("rk_bogus", queries[0]))
+                return out
+
+            responses = asyncio.run(scenario())
+        assert [(r.status, r.cached) for r in responses] == [
+            (OK, False), (OK, True)] * 5 + [
+            (ERROR, False), (OK, False), (OVERLOADED, False),
+            (OK, True), (OK, True), (OVERLOADED, False), (ERROR, False)]
+        assert server.metrics.as_dict()["counters"] == {
+            "serve.compliance.cache.hit": 1,
+            "serve.compliance.cache.miss": 1,
+            "serve.compliance.ok": 2,
+            "serve.compliance.requests": 3,
+            "serve.compliance.shed": 1,
+            "serve.domain.cache.hit": 3,
+            "serve.domain.cache.miss": 3,
+            "serve.domain.ok": 6,
+            "serve.domain.requests": 7,
+            "serve.domain.shed": 1,
+            "serve.filter.cache.hit": 1,
+            "serve.filter.cache.miss": 1,
+            "serve.filter.ok": 2,
+            "serve.filter.requests": 2,
+            "serve.predicate.error": 1,
+            "serve.predicate.requests": 1,
+            "serve.shard.0.queries": 2,
+            "serve.shard.1.queries": 3,
+            "serve.shard.2.queries": 1,
+            "serve.shed": 2,
+            "serve.table.cache.hit": 2,
+            "serve.table.cache.miss": 1,
+            "serve.table.ok": 3,
+            "serve.table.requests": 3,
+            "serve.tenant.acme.errors": 1,
+            "serve.tenant.acme.ok": 11,
+            "serve.tenant.acme.requests": 13,
+            "serve.tenant.acme.shed": 1,
+            "serve.tenant.metered.ok": 2,
+            "serve.tenant.metered.rate_limited": 1,
+            "serve.tenant.metered.requests": 3,
+            "serve.tenant.metered.shed": 1,
+            "serve.tenant.unauthenticated": 1,
+        }
+        assert server.metrics.request_count() == 16

@@ -3,7 +3,7 @@
 A hypothesis-driven differential test runs arbitrary put/get/advance
 sequences against a pure-Python model of a TTL+LRU map; the cache must
 agree with the model on every read. Separate properties pin the
-max-entries boundary, the zero-TTL edge, and the digest verification
+max-entries boundary, the zero-TTL edge, and the checksum verification
 that makes corrupted entries unservable.
 """
 
@@ -11,12 +11,21 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve import ResultCache
 
 KEYS = ("a", "b", "c", "d")
+
+#: Characters of each UTF-8 length, 1 to 4 bytes (no lone surrogates,
+#: which have no UTF-8 encoding).
+_CHARS = st.one_of(
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF,
+                  blacklist_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000))
 
 
 class TickClock:
@@ -150,6 +159,31 @@ class TestDigestGuard:
         cache.put("k", body)
         assert cache.corrupt("k") == "k"
         assert cache.get("k") is None  # digest mismatch → miss, dropped
+        assert cache.corruption_rejections == 1
+        assert len(cache) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(body=st.text(_CHARS, min_size=1, max_size=64),
+           at=st.integers(min_value=0, max_value=63), char=_CHARS)
+    @example(body='{"domain": "a.com"}', at=3, char="e")  # same length
+    @example(body='{"domain": "a.com"}', at=3, char="é")  # 1 -> 2 bytes
+    @example(body='{"note": "ü"}', at=10, char="u")       # 2 -> 1 byte
+    @example(body="€", at=0, char="😀")                   # 3 -> 4 bytes
+    def test_any_one_character_change_is_rejected(self, body, at, char):
+        """Replace any one character of a stored body with any other,
+        ASCII or not, whether or not the UTF-8 length changes: the
+        checksum catches it, so ``get`` misses, drops the entry and
+        counts one rejection.
+        """
+        at %= len(body)
+        assume(char != body[at])
+        cache = ResultCache(entries=4, ttl_s=100.0, clock=TickClock())
+        cache.put("k", body)
+        assert cache.get("k") is body  # unchanged: the stored string
+        stored_at, stored, checksum = cache._data["k"]
+        cache._data["k"] = (stored_at,
+                            stored[:at] + char + stored[at + 1:], checksum)
+        assert cache.get("k") is None
         assert cache.corruption_rejections == 1
         assert len(cache) == 0
 
