@@ -38,8 +38,10 @@ payloads never see it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 
 from repro._util.artifacts import canonical_json, content_digest
 from repro.chatbot.negation import find_negation_scopes
@@ -231,7 +233,7 @@ class LogicalForm:
         except (KeyError, TypeError) as exc:
             raise ComplianceError(
                 f"malformed logical-form payload: {exc}") from exc
-        fingerprint = content_digest(form.core_payload())
+        fingerprint = form_fingerprint(form)
         stored = payload.get("fingerprint", "")
         if stored and stored != fingerprint:
             raise ComplianceError(
@@ -245,6 +247,46 @@ class LogicalForm:
     @classmethod
     def from_json(cls, raw: str) -> "LogicalForm":
         return cls.from_payload(json.loads(raw))
+
+
+def _scalar_json(value) -> str:
+    """:func:`canonical_json` of a scalar, with no encoder for the usual
+    string or integer."""
+    if type(value) is str:
+        return encode_basestring(value)
+    if type(value) is int:
+        return str(value)
+    return canonical_json(value)
+
+
+def form_fingerprint(form: LogicalForm) -> str:
+    """``content_digest(form.core_payload())``, from parts that are
+    already canonical JSON.
+
+    Each entry is its atom's :meth:`Atom.token` with the spans appended,
+    and each span embeds its ``detail`` string as it stands, so no detail
+    is decoded and nothing is encoded twice; the keys are written in the
+    sorted order :func:`canonical_json` gives them. Exact whenever every
+    detail is canonical JSON, as :func:`compile_record` and
+    :meth:`EvidenceSpan.from_payload` make it. The one fingerprint of
+    both, so a compiled form and a decoded one agree.
+    """
+    clauses = []
+    for clause in form.clauses:
+        entries = []
+        for entry in clause.entries:
+            spans = ",".join([
+                f'{{"detail":{span.detail},'
+                f'"verbatim":{_scalar_json(span.verbatim)}}}'
+                for span in entry.spans])
+            entries.append(f'{entry.atom.token()[:-1]},"spans":[{spans}]}}')
+        clauses.append(f'{{"atoms":[{",".join(entries)}],'
+                       f'"line":{_scalar_json(clause.line)}}}')
+    text = (f'{{"clauses":[{",".join(clauses)}],'
+            f'"domain":{_scalar_json(form.domain)},'
+            f'"sector":{_scalar_json(form.sector)},'
+            f'"status":{_scalar_json(form.status)}}}')
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _atom_negated(verbatim: str) -> bool:
@@ -319,7 +361,7 @@ def compile_record(record: DomainAnnotations) -> LogicalForm:
                        status=record.status, clauses=clauses)
     return LogicalForm(domain=form.domain, sector=form.sector,
                        status=form.status, clauses=form.clauses,
-                       fingerprint=content_digest(form.core_payload()))
+                       fingerprint=form_fingerprint(form))
 
 
 @dataclass(frozen=True)

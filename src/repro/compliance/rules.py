@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import json
 from pathlib import Path
 
-from repro._util.artifacts import content_digest
+from repro._util.artifacts import canonical_json, content_digest
 from repro.compliance.logic import LogicalForm
 from repro.compliance.predicate import (
     OPT_OUT_CHOICE_LABELS,
@@ -110,7 +110,14 @@ class RulePack:
                 "rules": [rule.to_payload() for rule in self.rules]}
 
     def fingerprint(self) -> str:
-        return content_digest(self.to_payload())
+        """Content digest of :meth:`to_payload`, computed once (a pack is
+        frozen; the memo is not a field)."""
+        try:
+            return self._fingerprint
+        except AttributeError:
+            fingerprint = content_digest(self.to_payload())
+            object.__setattr__(self, "_fingerprint", fingerprint)
+            return fingerprint
 
 
 # -- payload round-trip (user-supplied packs) ----------------------------
@@ -255,7 +262,8 @@ def scan_payload(pack: RulePack, rows: dict[str, dict[str, dict]],
 
     ``rows`` may cover the whole corpus; the payload is sliced down to
     ``sector``/``rule_id`` here, and slicing then shaping is byte-equal
-    to computing the slice directly (the differential suite's bar).
+    to computing the slice directly (the differential suite's bar). The
+    reference the served body (:func:`scan_json`) is held to.
     """
     selected = [form for form in forms
                 if sector is None or form.sector == sector]
@@ -284,6 +292,44 @@ def scan_payload(pack: RulePack, rows: dict[str, dict[str, dict]],
     if sector is not None:
         payload["sector"] = sector
     return payload
+
+
+def verdict_fragment(domain: str, row: dict) -> str:
+    """One verdict row as it sits in a scan's ``verdicts`` object: the
+    canonical JSON ``"<domain>":{row}``."""
+    return f"{canonical_json(domain)}:{canonical_json(row)}"
+
+
+def scan_json(pack: RulePack, rows: dict[str, dict[str, dict]],
+              fragments: dict[str, dict[str, str]], domains: list[str], *,
+              rule_id: str | None = None,
+              sector: str | None = None) -> str:
+    """``canonical_json`` of the :func:`scan_payload` over ``domains``,
+    joined from each row's :func:`verdict_fragment` in ``fragments``
+    (``rule id → domain → fragment``), so no row is encoded here.
+
+    ``domains`` are the selected domains in sorted order, the order
+    ``canonical_json`` gives a ``verdicts`` object's keys; ``rows`` give
+    the per-rule counts. Every other key and value is rendered by
+    ``canonical_json`` and appended in sorted key order.
+    """
+    rules = [pack.rule(rule_id)] if rule_id is not None else pack.rules
+    parts = []
+    for rule in rules:
+        verdicts = rows[rule.id]
+        counts = dict.fromkeys(VERDICTS, 0)
+        for domain in domains:
+            counts[verdicts[domain]["verdict"]] += 1
+        rendered = fragments[rule.id]
+        head = canonical_json({"counts": counts, "id": rule.id,
+                               "severity": rule.severity,
+                               "title": rule.title})
+        parts.append(f'{head[:-1]},"verdicts":'
+                     f'{{{",".join([rendered[d] for d in domains])}}}}}')
+    head = canonical_json({"domains": len(domains), "pack": pack.name,
+                           "pack_fingerprint": pack.fingerprint()})
+    tail = "" if sector is None else f',"sector":{canonical_json(sector)}'
+    return f'{head[:-1]},"rules":[{",".join(parts)}]{tail}}}'
 
 
 def scan_forms(pack: RulePack, forms: list[LogicalForm], *,
@@ -478,5 +524,7 @@ __all__ = [
     "pack_rows",
     "rule_from_payload",
     "scan_forms",
+    "scan_json",
     "scan_payload",
+    "verdict_fragment",
 ]

@@ -43,19 +43,31 @@ def extract_links(html: str, base_url: str) -> list[Link]:
     return extract_links_from_tree(root, base_url)
 
 
-def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
-    base = parse_url(base_url)
-    # One walk finds the anchors and whether the page has a footer at all.
-    anchors: list[Element] = []
+def _anchors(root: Element) -> tuple[list[tuple[Element, bool]], bool]:
+    """Every anchor under ``root`` in document order, each with whether a
+    ``<footer>`` encloses it, and whether the page has a footer at all:
+    one depth-first walk that carries the in-footer flag down."""
+    anchors: list[tuple[Element, bool]] = []
     has_footer = False
-    for element in root.iter():
+    stack = [(root, False)]
+    while stack:
+        element, in_footer = stack.pop()
         if element.tag == "a":
-            anchors.append(element)
+            anchors.append((element, in_footer))
         elif element.tag == "footer":
             has_footer = True
+        inner = in_footer or element.tag == "footer"
+        stack.extend((child, inner) for child in reversed(element.children)
+                     if isinstance(child, Element))
+    return anchors, has_footer
+
+
+def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
+    base = parse_url(base_url)
+    anchors, has_footer = _anchors(root)
     links: list[Link] = []
     footer_less_cutoff = max(1, int(len(anchors) * 0.9))
-    for index, anchor in enumerate(anchors):
+    for index, (anchor, enclosed) in enumerate(anchors):
         href = anchor.get("href")
         if not _is_followable(href):
             continue
@@ -65,15 +77,12 @@ def extract_links_from_tree(root: Element, base_url: str) -> list[Link]:
             continue
         if not resolved.is_absolute:
             continue
-        if has_footer:
-            in_footer = anchor.has_ancestor("footer")
-        else:
-            in_footer = index >= footer_less_cutoff
         links.append(
             Link(
                 url=str(resolved.without_fragment()),
                 text=anchor.text_content().strip(),
-                in_footer=in_footer,
+                in_footer=(enclosed if has_footer
+                           else index >= footer_less_cutoff),
             )
         )
     return links

@@ -4,7 +4,9 @@ The paper's pipeline uses Playwright to obtain rendered HTML and the
 ``inscriptis`` library to convert it to text. We implement both halves from
 scratch: this module parses (possibly malformed) HTML into a light-weight
 element tree that the renderer (:mod:`repro.htmlkit.render`), the heading
-extractor, and the crawler's link extractor all share.
+extractor, and the crawler's link extractor all share. Nodes hold no
+reference to their parent, so a parsed tree holds no reference cycle
+and is freed by reference counting alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ class TextNode:
     """A run of character data."""
 
     text: str
-    parent: "Element | None" = field(default=None, repr=False)
 
 
 @dataclass
@@ -50,12 +51,10 @@ class Element:
     tag: str
     attrs: dict[str, str] = field(default_factory=dict)
     children: list["Element | TextNode"] = field(default_factory=list)
-    parent: "Element | None" = field(default=None, repr=False)
 
     # -- tree construction -------------------------------------------------
 
     def append(self, node: "Element | TextNode") -> None:
-        node.parent = self
         self.children.append(node)
 
     # -- queries -----------------------------------------------------------
@@ -93,16 +92,6 @@ class Element:
                 parts.append(child.text)
             elif child.tag not in _RAW_TEXT_TAGS:
                 child._collect_text(parts)
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
-    def has_ancestor(self, *tags: str) -> bool:
-        wanted = set(tags)
-        return any(anc.tag in wanted for anc in self.ancestors())
 
     def classes(self) -> list[str]:
         return self.get("class").split()

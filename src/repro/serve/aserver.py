@@ -23,10 +23,11 @@ worker pool and moves admission **per tenant**:
   event loop (:meth:`AnnotationServer.try_cached` — checksum-verified,
   metric-recorded), skipping the submit/queue/worker/future round trip
   entirely; only misses cross into the worker pool via
-  ``asyncio.wrap_future``. A hit's endpoint, tenant and shard counters
-  are bumped under one metrics lock, with names formatted once per
-  tenant. The fast path is disabled automatically when a fault injector
-  is installed so chaos seams still see every request.
+  ``asyncio.wrap_future``. A request's endpoint, tenant and shard
+  counters are bumped under one metrics lock, on a hit by the front end
+  and on a miss by the worker that answers it, with names formatted
+  once per tenant. The fast path is disabled automatically when a fault
+  injector is installed so chaos seams still see every request.
 - **Windowed rate limits.** On top of the inflight cap, a tenant may
   carry ``TenantQuota.max_per_window``: at most that many requests
   admitted per ``window_s``-second fixed window, measured on an
@@ -150,23 +151,23 @@ class TenantRegistry:
 
 
 class _TenantCounters:
-    """The counter names one tenant's requests bump, formatted once."""
+    """The counter names one tenant's requests bump, formatted once.
 
-    __slots__ = ("requests", "ok", "shed", "errors", "hit",
-                 "rate_limited", "overloaded")
+    Each tuple is what one outcome counts for the tenant, beside the
+    endpoint's counters, under one metrics lock.
+    """
+
+    __slots__ = ("outcomes", "rate_limited")
 
     def __init__(self, name: str):
         prefix = f"serve.tenant.{name}."
-        self.requests = prefix + "requests"
-        self.ok = prefix + "ok"
-        self.shed = prefix + "shed"
-        self.errors = prefix + "errors"
-        # What an answer decided in the front end counts for the tenant,
-        # beside the endpoint's counters, under one metrics lock.
-        self.hit = (self.requests, self.ok)
-        self.rate_limited = (self.requests, prefix + "rate_limited",
-                             self.shed)
-        self.overloaded = (self.requests, self.shed)
+        requests, shed = prefix + "requests", prefix + "shed"
+        #: Response status → the names an answer of that status bumps,
+        #: whether a hit here or the worker answers it.
+        self.outcomes = {OK: (requests, prefix + "ok"),
+                         OVERLOADED: (requests, shed),
+                         ERROR: (requests, prefix + "errors")}
+        self.rate_limited = (requests, prefix + "rate_limited", shed)
 
 
 class AsyncFrontEnd:
@@ -250,7 +251,7 @@ class AsyncFrontEnd:
                      f"{tenant.quota.max_per_window} requests per "
                      f"{tenant.quota.window_s}s window, retry later")
         if self._inflight.get(name, 0) >= tenant.quota.max_inflight:
-            metrics.record_shed(kind, counters.overloaded)
+            metrics.record_shed(kind, counters.outcomes[OVERLOADED])
             return ServeResponse(
                 status=OVERLOADED, kind=kind,
                 body=f"TenantOverloaded: tenant {name!r} at max inflight "
@@ -258,21 +259,14 @@ class AsyncFrontEnd:
         self._inflight[name] = self._inflight.get(name, 0) + 1
         try:
             if self.server.fault_injector is None:
-                # A hit counts the tenant's requests and ok with its own.
-                response = self.server.try_cached(query, counters.hit)
+                response = self.server.try_cached(query,
+                                                  counters.outcomes[OK])
                 if response is not None:
                     return response
-            metrics.increment(counters.requests)
-            response = await asyncio.wrap_future(self.server.submit(query))
+            return await asyncio.wrap_future(
+                self.server.submit(query, counters=counters.outcomes))
         finally:
             self._inflight[name] -= 1
-        if response.status == OK:
-            metrics.increment(counters.ok)
-        elif response.status == OVERLOADED:
-            metrics.increment(counters.shed)
-        else:
-            metrics.increment(counters.errors)
-        return response
 
 
 __all__ = [

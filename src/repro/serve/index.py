@@ -19,8 +19,9 @@ dict/list lookups:
   compiled atoms (``atom token → sorted domains`` and ``atom token →
   sorted (domain, line) clauses``) that answer predicate queries by
   exact set algebra (:meth:`CorpusIndex.satisfying_domains`), and
-  precomputed rule-pack verdict rows so a ``ComplianceScan`` is a
-  slice, not a scan, and
+  precomputed rule-pack verdict rows, each also rendered once to its
+  canonical JSON fragment, so a ``ComplianceScan`` is a slice joined
+  from JSON, not a scan re-encoded, and
 - a content digest per sector, over its records' digests, which the
   server's hot-result cache keys sector-scoped answers by.
 
@@ -69,7 +70,7 @@ from repro.compliance.predicate import (
     SameSegment,
     matching_atoms,
 )
-from repro.compliance.rules import RULE_PACKS, pack_rows
+from repro.compliance.rules import RULE_PACKS, pack_rows, verdict_fragment
 from repro.errors import QueryError
 from repro.pipeline.records import DomainAnnotations
 from repro.serve.snapshot import CorpusSnapshot
@@ -325,6 +326,11 @@ class CorpusIndex:
     #: pack name → rule id → domain → precomputed verdict row.
     compliance_rows: dict[str, dict[str, dict[str, dict]]] = \
         field(default_factory=dict)
+    #: pack name → rule id → domain → that row's canonical JSON fragment
+    #: (:func:`~repro.compliance.rules.verdict_fragment`), rendered once
+    #: when the row enters the index; a scan's body joins them.
+    compliance_fragments: dict[str, dict[str, dict[str, str]]] = \
+        field(default_factory=dict)
     #: sector → content id of its records (:func:`_sector_digest`); the
     #: hot-result cache keys a sector-scoped answer by it.
     sector_digests: dict[str, str] = field(default_factory=dict)
@@ -402,9 +408,14 @@ class CorpusIndex:
         for name, pack in RULE_PACKS.items():
             for rule_id, verdicts in pack_rows(pack, new_forms).items():
                 rows = writer.writable(("compliance_rows", name, rule_id))
+                fragments = writer.writable(
+                    ("compliance_fragments", name, rule_id))
                 for domain in removed:
                     del rows[domain]
+                    del fragments[domain]
                 rows.update(verdicts)
+                for domain, row in verdicts.items():
+                    fragments[domain] = verdict_fragment(domain, row)
         # Only the sectors whose domain list the patch wrote are hashed.
         sectors = {old[domain].sector for domain in removed} \
             | {record.sector for record in added}

@@ -53,7 +53,7 @@ from repro.compliance.predicate import (
     parse_predicate,
     predicate_to_json,
 )
-from repro.compliance.rules import get_pack, scan_payload
+from repro.compliance.rules import get_pack, scan_json
 from repro.errors import PredicateError, QueryError
 from repro.serve.index import COMPLIANCE_PACKS, FACETS, TABLES, CorpusIndex
 
@@ -299,20 +299,46 @@ def query_fingerprint(query: Query) -> str:
         return fingerprint
 
 
-@dataclass(frozen=True)
 class QueryResult:
     """One deterministic query answer.
 
     ``payload`` is a JSON-ready dict built exclusively from sorted index
     structures; ``to_json`` renders it canonically, so equal results are
-    byte-equal.
+    byte-equal. An answer whose body was built first (``body``, the
+    canonical JSON of the whole result: a compliance scan joined from
+    the index's row fragments, a found lookup around its record's
+    canonical string) serves that body and decodes its payload only when
+    it is read.
     """
 
-    kind: str
-    payload: dict
+    __slots__ = ("kind", "_payload", "_body")
+
+    def __init__(self, kind: str, payload: dict | None = None, *,
+                 body: str | None = None):
+        self.kind = kind
+        self._payload = payload
+        self._body = body
+
+    @property
+    def payload(self) -> dict:
+        if self._payload is None:
+            self._payload = json.loads(self._body)["payload"]
+        return self._payload
 
     def to_json(self) -> str:
-        return canonical_json({"kind": self.kind, "payload": self.payload})
+        if self._body is not None:
+            return self._body
+        return canonical_json({"kind": self.kind, "payload": self._payload})
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QueryResult):
+            return NotImplemented
+        return self.kind == other.kind and self.to_json() == other.to_json()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"QueryResult(kind={self.kind!r}, payload={self.payload!r})"
 
 
 class QueryEngine:
@@ -332,16 +358,21 @@ class QueryEngine:
         kind = query_kind(query)
         handler = getattr(self, "_run_" + kind.replace("-", "_"))
         payload = handler(query) if pred is None else handler(query, pred)
+        if isinstance(payload, str):  # the payload's canonical JSON
+            return QueryResult(kind, body=f'{{"kind":{canonical_json(kind)},'
+                                          f'"payload":{payload}}}')
         return QueryResult(kind=kind, payload=payload)
 
     # -- handlers --------------------------------------------------------
+    # Each returns the answer's payload, or its canonical JSON where that
+    # is joined from JSON the index already holds.
 
-    def _run_domain(self, query: DomainLookup) -> dict:
+    def _run_domain(self, query: DomainLookup) -> dict | str:
         record = self.index.by_domain.get(query.domain)
         if record is None:
             return {"domain": query.domain, "found": False}
-        return {"domain": query.domain, "found": True,
-                "record": json.loads(record.canonical())}
+        return (f'{{"domain":{canonical_json(query.domain)},"found":true,'
+                f'"record":{record.canonical()}}}')
 
     def _run_filter(self, query: FacetFilter) -> dict:
         candidates: set[str] | None = None
@@ -427,11 +458,16 @@ class QueryEngine:
             pred, matched, len(self.index.logical_forms),
             evidence=query.evidence)
 
-    def _run_compliance(self, query: ComplianceScan) -> dict:
+    def _run_compliance(self, query: ComplianceScan) -> str:
+        index = self.index
+        if query.sector is None:
+            domains = [form.domain for form in index.logical_forms]
+        else:
+            domains = index.domains_by_sector.get(query.sector, [])
         pack = get_pack(query.pack)
-        return scan_payload(pack, self.index.compliance_rows[pack.name],
-                            list(self.index.logical_forms),
-                            rule_id=query.rule, sector=query.sector)
+        return scan_json(pack, index.compliance_rows[pack.name],
+                         index.compliance_fragments[pack.name], domains,
+                         rule_id=query.rule, sector=query.sector)
 
 
 __all__ = [

@@ -52,15 +52,18 @@ injector is installed — the zero-fault path is byte-identical to a server
 built without them. Two hardening behaviours back the chaos invariants:
 
 - **Cache entries are checksummed.** ``put`` stores a CRC-32 of the
-  body's UTF-8 encoding alongside it; ``get`` recomputes it over every
-  byte it serves and treats any mismatch as a miss (the entry is dropped
-  and counted). CRC-32 detects every error burst of up to 32 bits, so
-  any one changed character that keeps the UTF-8 length (at most 4
-  adjacent bytes); any other change escapes with probability 2**-32. A
-  poisoned or partially-written entry is therefore detected, not
-  propagated. The cache is in-process, so whatever could rewrite an
-  entry could rewrite its checksum too: a cryptographic digest would
-  buy no security here.
+  body's Latin-1 encoding, or of its UTF-8 encoding when Latin-1 cannot
+  encode it, alongside it with the encoding used; ``get`` recomputes it
+  over every byte it serves and treats any mismatch as a miss (the entry
+  is dropped and counted). CRC-32 detects every error burst of up to 32
+  bits: in a Latin-1 body any one changed character (8 bits), in a UTF-8
+  one any one changed character that keeps the UTF-8 length (at most 4
+  adjacent bytes), and a change that moves a body between the two
+  encodings is rejected outright; any other change escapes with
+  probability 2**-32. A poisoned or partially-written entry is therefore
+  detected, not propagated. The cache is in-process, so whatever could
+  rewrite an entry could rewrite its checksum too: a cryptographic
+  digest would buy no security here.
 - **The worker pool self-heals.** A worker that dies mid-request first
   resolves the in-flight future with an explicit ``InternalError``
   response (counted — the request terminates, never stalls), then a
@@ -160,8 +163,15 @@ class ServeResponse:
         return self.status == OK
 
 
-def _body_digest(body: str) -> int:
-    return zlib.crc32(body.encode("utf-8"))
+def _body_digest(body: str) -> tuple[bool, int]:
+    """Whether ``body`` is checked as Latin-1 (else as UTF-8), and the
+    CRC-32 of those bytes. A Latin-1 string is stored one byte per
+    character, so its Latin-1 encoding is a copy; every ASCII body takes
+    this path too."""
+    try:
+        return True, zlib.crc32(body.encode("latin-1"))
+    except UnicodeEncodeError:
+        return False, zlib.crc32(body.encode("utf-8"))
 
 
 class ResultCache:
@@ -171,14 +181,18 @@ class ResultCache:
     Entries expire ``ttl_s`` after being stored; reads refresh LRU order
     but never the TTL (a hot entry still ages out, bounding staleness).
 
-    Every body is stored with the CRC-32 of its UTF-8 encoding; ``get``
-    recomputes it over the whole body and treats a mismatch as a miss,
-    dropping the entry and counting the rejection in
-    ``corruption_rejections``. CRC-32 catches every change confined to 32
-    adjacent bits, hence any one character replaced by another of the
-    same UTF-8 length, and misses any other change with probability
-    2**-32. A poisoned or partially-written entry is therefore
-    recomputed, never served; a hit returns the stored string itself.
+    Every body is stored with the CRC-32 of its Latin-1 encoding, or of
+    its UTF-8 encoding when it has a character Latin-1 cannot encode,
+    and which of the two it is (:func:`_body_digest`); ``get`` recomputes
+    both over the whole body and treats a mismatch as a miss, dropping
+    the entry and counting the rejection in ``corruption_rejections``.
+    CRC-32 catches every change confined to 32 adjacent bits, hence any
+    one character of a Latin-1 body replaced, and any one character of a
+    UTF-8 body replaced by another of the same UTF-8 length; a body that
+    no longer takes the encoding it was stored with is rejected
+    outright, and any other change is missed with probability 2**-32. A
+    poisoned or partially-written entry is therefore recomputed, never
+    served; a hit returns the stored string itself.
     """
 
     def __init__(self, entries: int, ttl_s: float, clock=time.monotonic):
@@ -186,7 +200,8 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._clock = clock
         self._lock = threading.Lock()
-        self._data: OrderedDict[str, tuple[float, str, int]] = OrderedDict()
+        self._data: OrderedDict[str, tuple[float, str, tuple[bool, int]]] \
+            = OrderedDict()
         #: Entries dropped because their stored checksum no longer
         #: matched.
         self.corruption_rejections = 0
@@ -469,15 +484,15 @@ def _build_generation(snapshot, config: ServerConfig,
             for i in range(sharded.shard_count if sharded else 0)))
 
 
-def _shard_counter(gen: _Generation, query: Query) -> str | None:
+def _shard_counters(gen: _Generation, query: Query) -> tuple[str, ...]:
     """The counter of the shard a domain lookup reads on a sharded
-    generation, else ``None``: every other kind reads the one index of
-    the merged records, and its ``serve.<kind>.requests`` already counts
+    generation, else none: every other kind reads the one index of the
+    merged records, and its ``serve.<kind>.requests`` already counts
     it."""
     if not gen.shard_counters:
-        return None
+        return ()
     shard = gen.engine.route(query)
-    return None if shard is None else gen.shard_counters[shard]
+    return () if shard is None else (gen.shard_counters[shard],)
 
 
 class WorkerCrash(Exception):
@@ -627,14 +642,15 @@ class AnnotationServer:
                 return
             if item is _STOP:
                 continue
-            query, kind, future, submitted_at = item
+            query, kind, future, submitted_at, counters = item
             if not self._claim(future):
                 continue
             response = ServeResponse(
                 status=ERROR, kind=kind,
                 body="ServerStopped: request abandoned at shutdown")
             self.metrics.record(kind, ERROR, False,
-                                self._clock() - submitted_at)
+                                self._clock() - submitted_at,
+                                counters.get(ERROR, ()))
             future.set_result(response)
 
     def __enter__(self) -> "AnnotationServer":
@@ -645,8 +661,16 @@ class AnnotationServer:
 
     # -- request path ----------------------------------------------------
 
-    def submit(self, query: Query) -> "Future[ServeResponse]":
+    def submit(self, query: Query, *,
+               counters: dict[str, tuple[str, ...]] | None = None
+               ) -> "Future[ServeResponse]":
         """Admit a query (or shed it); never blocks the caller.
+
+        ``counters`` maps a response status to the caller's own counter
+        names that an answer of that status bumps (the front end's
+        per-tenant names). They are counted with the endpoint's, and a
+        lookup's shard counter, under the one metrics lock that records
+        the outcome, in the worker or in the shed here.
 
         Raises a typed :class:`~repro.errors.ServeError` when the server
         is not running (never started, or already stopped) — a dead future
@@ -658,11 +682,13 @@ class AnnotationServer:
         kind = query_kind(query)
         if self._injector is not None:
             self._injector.on_submit(kind)
+        counters = counters or {}
         future: Future = Future()
         try:
-            self._queue.put_nowait((query, kind, future, self._clock()))
+            self._queue.put_nowait(
+                (query, kind, future, self._clock(), counters))
         except queue.Full:
-            self.metrics.record_shed(kind)
+            self.metrics.record_shed(kind, counters.get(OVERLOADED, ()))
             future.set_result(ServeResponse(
                 status=OVERLOADED, kind=kind,
                 body="ServiceOverloaded: request queue full, retry later"))
@@ -681,13 +707,19 @@ class AnnotationServer:
                 item = self._queue.get()
                 if item is _STOP:
                     return
-                query, kind, future, submitted_at = item
+                query, kind, future, submitted_at, counters = item
                 if not self._claim(future):
                     continue
+                shard = ()
                 try:
                     if self._injector is not None:
                         self._injector.before_serve(query, kind)
-                    response = self._serve_one(query, kind)
+                    # The one generation capture for this request: every
+                    # read goes through ``gen``, so a swap landing
+                    # mid-request changes nothing this request observes.
+                    gen = self._gen
+                    shard = _shard_counters(gen, query)
+                    response = self._serve_one(gen, query, kind)
                 except WorkerCrash as exc:
                     response = ServeResponse(
                         status=ERROR, kind=kind,
@@ -702,8 +734,9 @@ class AnnotationServer:
                         body=f"InternalError: "
                              f"{type(exc).__name__}: {exc}")
                 latency = self._clock() - submitted_at
-                self.metrics.record(kind, response.status, response.cached,
-                                    latency)
+                self.metrics.record(
+                    kind, response.status, response.cached, latency,
+                    counters.get(response.status, ()) + shard)
                 future.set_result(response)
                 if crashed:
                     return
@@ -759,21 +792,16 @@ class AnnotationServer:
         if body is None:
             return None
         kind = query_kind(query)
-        shard = _shard_counter(gen, query)
-        if shard is not None:
-            counters += (shard,)
-        self.metrics.record(kind, OK, True, 0.0, counters)
+        self.metrics.record(kind, OK, True, 0.0,
+                            counters + _shard_counters(gen, query))
         return ServeResponse(status=OK, kind=kind, body=body, cached=True)
 
     @property
     def fault_injector(self):
         return self._injector
 
-    def _serve_one(self, query: Query, kind: str) -> ServeResponse:
-        # The one generation capture for this request: every read below
-        # goes through ``gen``, so a swap landing mid-request changes
-        # nothing this request observes.
-        gen = self._gen
+    def _serve_one(self, gen: _Generation, query: Query,
+                   kind: str) -> ServeResponse:
         try:
             # A malformed query (e.g. an unparseable predicate string)
             # fails fingerprinting with the same QueryError message the
@@ -782,9 +810,6 @@ class AnnotationServer:
             key = _cache_key(gen, query)
         except QueryError as exc:
             return ServeResponse(status=ERROR, kind=kind, body=str(exc))
-        shard = _shard_counter(gen, query)
-        if shard is not None:
-            self.metrics.increment(shard)
         body = self.cache.get(key)
         if body is not None:
             return ServeResponse(status=OK, kind=kind, body=body,

@@ -1,7 +1,11 @@
 """Tests for the HTML DOM parser, text renderer, and heading machinery."""
 
+import gc
+import weakref
+
 from hypothesis import given, strategies as st
 
+from repro.crawler.links import extract_links_from_tree
 from repro.htmlkit import (
     BOLD_HEADING_LEVEL,
     build_sections,
@@ -47,11 +51,52 @@ class TestParser:
         assert len(items) == 2
         assert items[0].text_content() == "one"
 
-    def test_ancestors_and_has_ancestor(self):
-        root = parse_html("<footer><div><a href='/x'>l</a></div></footer>")
-        anchor = root.find("a")
-        assert anchor.has_ancestor("footer")
-        assert not anchor.has_ancestor("header")
+    def test_footer_links_through_nested_footers(self):
+        """An anchor is in the footer when any enclosing element is a
+        ``<footer>``, however deep and however nested the footers; an
+        anchor that only encloses one, or follows it, is not."""
+        root = parse_html(
+            "<header><a href='/top'>top</a></header>"
+            "<footer><div><a href='/outer'>outer</a>"
+            "<footer><p><a href='/inner'>inner</a></p></footer>"
+            "<a href='/after'>after</a></div></footer>"
+            "<a href='/wrap'><footer>wrapped</footer></a>"
+            "<a href='/tail'>tail</a>")
+        links = extract_links_from_tree(root, "https://example.com/")
+        assert [(link.url, link.in_footer) for link in links] == [
+            ("https://example.com/top", False),
+            ("https://example.com/outer", True),
+            ("https://example.com/inner", True),
+            ("https://example.com/after", True),
+            ("https://example.com/wrap", False),
+            ("https://example.com/tail", False)]
+
+    def test_footer_less_page_keeps_the_trailing_tenth(self):
+        """Without a ``<footer>``, the last 10% of anchors in document
+        order count as the footer."""
+        html = "".join(f"<div><a href='/p{i}'>p{i}</a></div>"
+                       for i in range(20))
+        links = extract_links_from_tree(parse_html(html),
+                                        "https://example.com/")
+        assert [link.in_footer for link in links] == [False] * 18 + [True] * 2
+
+    def test_parsed_tree_freed_by_reference_counting(self):
+        """No node refers back to its parent, so a parsed page is freed
+        the moment its last reference goes, without the cycle
+        collector."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            root = parse_html("<body><footer><div><a href='/x'>l</a>"
+                              "</div></footer><p>text</p></body>")
+            text = weakref.ref(root.find("p").children[0])
+            ref = weakref.ref(root)
+            del root
+            assert ref() is None
+            assert text() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @given(st.text(max_size=300))
     def test_never_raises_on_arbitrary_input(self, text):

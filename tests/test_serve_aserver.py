@@ -158,9 +158,9 @@ class TestHandle:
         snapshot = _snapshot()
 
         class GatedServer(AnnotationServer):
-            def _serve_one(self, query, kind):
+            def _serve_one(self, gen, query, kind):
                 gate.wait(timeout=5.0)
-                return super()._serve_one(query, kind)
+                return super()._serve_one(gen, query, kind)
 
         config = ServerConfig(workers=1, queue_depth=32, cache_entries=0)
         with GatedServer(snapshot, config) as server:
@@ -516,6 +516,27 @@ class TestHitPath:
                 assert (lock.acquired, len(checksums), len(sha256s)) == (
                     before[0] + 1, before[1] + 1, before[2]), query
                 assert checksums[-1] is response.body
+
+    def test_each_miss_takes_one_lock(self, monkeypatch):
+        """A miss through the front end counts its endpoint, shard and
+        tenant counters in the worker's one ``record``: one acquisition
+        of the metrics lock, as a hit takes."""
+        registry = TenantRegistry()
+        registry.register("acme")
+        key = derive_api_key("acme")
+        with AnnotationServer(_snapshot(), ServerConfig(shards=4)) as server:
+            front = AsyncFrontEnd(server, registry)
+            lock = _CountingLock()
+            monkeypatch.setattr(server.metrics, "_lock", lock)
+            for number, query in enumerate(self.QUERIES, 1):
+                response = asyncio.run(front.handle(key, query))
+                assert response.ok and not response.cached, query
+                assert lock.acquired == number, query
+        counters = server.metrics.as_dict()["counters"]
+        assert counters["serve.tenant.acme.requests"] == len(self.QUERIES)
+        assert counters["serve.tenant.acme.ok"] == len(self.QUERIES)
+        assert sum(count for name, count in counters.items()
+                   if name.startswith("serve.shard.")) == 3  # the lookups
 
     def test_concurrent_hits_lose_no_count(self):
         """Threads serving inline hits at once, with a tiny switch

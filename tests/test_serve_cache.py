@@ -9,6 +9,7 @@ that makes corrupted entries unservable.
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 
 from hypothesis import assume, example, given, settings
@@ -26,6 +27,20 @@ _CHARS = st.one_of(
     st.characters(min_codepoint=0x800, max_codepoint=0xFFFF,
                   blacklist_categories=("Cs",)),
     st.characters(min_codepoint=0x10000))
+
+#: Latin-1 characters: a body of these is checked by its Latin-1 bytes.
+_LATIN_1 = st.characters(max_codepoint=0xFF)
+
+
+class _Encodings(str):
+    """A body that records each encoding it is encoded to."""
+
+    def __init__(self, text):
+        self.encodings = []
+
+    def encode(self, encoding="utf-8", errors="strict"):
+        self.encodings.append(encoding)
+        return super().encode(encoding, errors)
 
 
 class TickClock:
@@ -163,17 +178,23 @@ class TestDigestGuard:
         assert len(cache) == 0
 
     @settings(max_examples=300, deadline=None)
-    @given(body=st.text(_CHARS, min_size=1, max_size=64),
-           at=st.integers(min_value=0, max_value=63), char=_CHARS)
+    @given(body=st.text(_CHARS, min_size=1, max_size=64)
+           | st.text(_LATIN_1, min_size=1, max_size=64),
+           at=st.integers(min_value=0, max_value=63),
+           char=_CHARS | _LATIN_1)
     @example(body='{"domain": "a.com"}', at=3, char="e")  # same length
     @example(body='{"domain": "a.com"}', at=3, char="é")  # 1 -> 2 bytes
     @example(body='{"note": "ü"}', at=10, char="u")       # 2 -> 1 byte
     @example(body="€", at=0, char="😀")                   # 3 -> 4 bytes
+    @example(body='{"t": "§1798"}', at=7, char="¨")      # Latin-1 -> Latin-1
+    @example(body='{"t": "§1798"}', at=7, char="Ā")      # Latin-1 -> UTF-8
+    @example(body='{"t": "€1798"}', at=7, char="§")      # UTF-8 -> Latin-1
     def test_any_one_character_change_is_rejected(self, body, at, char):
         """Replace any one character of a stored body with any other,
-        ASCII or not, whether or not the UTF-8 length changes: the
-        checksum catches it, so ``get`` misses, drops the entry and
-        counts one rejection.
+        ASCII or not, whether or not the UTF-8 length changes, in a body
+        checked by its Latin-1 or by its UTF-8 bytes, or moving it from
+        one to the other: the checksum catches it, so ``get`` misses,
+        drops the entry and counts one rejection.
         """
         at %= len(body)
         assume(char != body[at])
@@ -186,6 +207,25 @@ class TestDigestGuard:
         assert cache.get("k") is None
         assert cache.corruption_rejections == 1
         assert len(cache) == 0
+
+    def test_a_latin_1_hit_does_no_utf_8_encode(self):
+        """A body whose characters Latin-1 encodes (here ``§``, the one
+        non-ASCII character of the rule packs' titles) is checked by its
+        Latin-1 bytes, one per character: a hit encodes it once, and not
+        to UTF-8. Any other body is checked by its UTF-8 bytes."""
+        cache = ResultCache(entries=4, ttl_s=100.0, clock=TickClock())
+        latin = _Encodings('{"title":"Data sale (§1798.120)"}' * 50)
+        other = _Encodings('{"title":"Data sale (€1798.120)"}' * 50)
+        for key, body in (("latin", latin), ("other", other)):
+            cache.put(key, body)
+            body.encodings.clear()
+            assert cache.get(key) is body
+        assert latin.encodings == ["latin-1"]
+        assert other.encodings == ["latin-1", "utf-8"]
+        assert cache._data["latin"][2] == (
+            True, zlib.crc32(latin.encode("latin-1")))
+        assert cache._data["other"][2] == (
+            False, zlib.crc32(other.encode("utf-8")))
 
     def test_rewrite_after_corruption_serves_the_fresh_body(self):
         cache = ResultCache(entries=4, ttl_s=100.0, clock=TickClock())

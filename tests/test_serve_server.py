@@ -388,7 +388,7 @@ class TestLifecycleRegressions:
         abandoned: Future = Future()
         server._queue.put(_STOP)
         server._queue.put((DomainLookup(domain="site0.com"), "domain",
-                           abandoned, 0.0))
+                           abandoned, 0.0, {}))
         server._drain_pending()
         response = abandoned.result(timeout=1)
         assert response.status == ERROR
