@@ -60,10 +60,6 @@ class TokenUsage:
         self.completion_tokens += max(1, completion_chars // 4)
         self.calls += 1
 
-    @property
-    def total_tokens(self) -> int:
-        return self.prompt_tokens + self.completion_tokens
-
 
 class ChatModel(Protocol):
     """Anything that can complete a chat exchange."""

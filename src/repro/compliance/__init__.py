@@ -51,7 +51,6 @@ from repro.compliance.predicate import (
     Negate,
     Predicate,
     SameSegment,
-    evidence_spans,
     holds,
     matching_atoms,
     parse_predicate,
@@ -101,7 +100,6 @@ __all__ = [
     "Negate",
     "Predicate",
     "SameSegment",
-    "evidence_spans",
     "holds",
     "matching_atoms",
     "parse_predicate",

@@ -193,15 +193,6 @@ class LogicalForm:
             object.__setattr__(self, "_atoms", atoms)
             return atoms
 
-    def spans_for(self, atom: Atom) -> list[tuple[int, EvidenceSpan]]:
-        """Every ``(line, span)`` behind one atom, in clause order."""
-        spans: list[tuple[int, EvidenceSpan]] = []
-        for clause in self.clauses:
-            for entry in clause.entries:
-                if entry.atom == atom:
-                    spans.extend((clause.line, s) for s in entry.spans)
-        return spans
-
     def core_payload(self) -> dict:
         """The fingerprinted content (everything but the fingerprint)."""
         return {

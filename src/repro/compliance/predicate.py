@@ -349,13 +349,6 @@ def refute_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
     return _render(_refute(pred, form))
 
 
-def evidence_spans(pred: Predicate, form: LogicalForm) -> list[dict]:
-    """Evidence behind whichever way the predicate evaluated."""
-    spans = _support(pred, form) if holds(pred, form) \
-        else _refute(pred, form)
-    return _render(_merge([spans]))
-
-
 __all__ = [
     "OPT_OUT_CHOICE_LABELS",
     "AllOf",
@@ -364,7 +357,6 @@ __all__ = [
     "Negate",
     "Predicate",
     "SameSegment",
-    "evidence_spans",
     "holds",
     "matching_atoms",
     "parse_predicate",

@@ -106,17 +106,6 @@ class CompanyPractices:
     #: (category, descriptor) pairs mentioned only in negated contexts.
     negated_types: list[tuple[str, str]] = field(default_factory=list)
 
-    def type_category_count(self) -> int:
-        return len(self.data_types)
-
-    def unique_type_descriptors(self) -> int:
-        return sum(len(v) for v in self.data_types.values()) + sum(
-            len(v) for v in self.novel_data_types.values()
-        )
-
-    def retention_labels(self) -> list[str]:
-        return [fact.label for fact in self.retention]
-
     def has_any_annotation(self) -> bool:
         return bool(
             self.data_types

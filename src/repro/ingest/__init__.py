@@ -3,15 +3,16 @@ live snapshot refresh (DESIGN.md §15).
 
 The bridge from batch reproduction to a system that stays current: a
 deterministic watcher (:mod:`repro.ingest.scheduler`) re-crawls domains
-on a policy against the simulated internet, two-tier change detection
-skips unchanged domains entirely and re-annotates only genuinely changed
-content through the PR-3 cache, the patch/refresh layer
-(:mod:`repro.ingest.refresh`) rebuilds only the shards owning changed
-domains — proven fingerprint-identical to a from-scratch build — and the
-serving layer swaps the refreshed snapshot in atomically under load
-(:mod:`repro.ingest.live` proves zero dropped, zero wrong-byte requests).
-:mod:`repro.ingest.mutate` supplies the replayable simulated policy
-changes that drive it all.
+on a policy against the simulated internet, skips every domain whose
+input fingerprint is unchanged, and runs each changed one through the
+pipeline's one per-domain step and its cache; the patch/refresh layer
+(:mod:`repro.ingest.refresh`) applies the round's patches as the plain
+refresh does and re-cuts only the shards owning changed domains —
+proven fingerprint-identical to a from-scratch build — and the serving
+layer swaps the refreshed snapshot in atomically under load
+(:mod:`repro.ingest.live` proves zero dropped, zero wrong-byte
+requests). :mod:`repro.ingest.mutate` supplies the replayable simulated
+policy changes that drive it all.
 """
 
 from repro.ingest.live import SwapLoadReport, run_swap_load
@@ -35,7 +36,6 @@ from repro.ingest.scheduler import (
     IngestRound,
     IngestScheduler,
     SchedulePolicy,
-    crawl_content_fingerprint,
 )
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "SwapLoadReport",
     "apply_patches",
     "apply_patches_sharded",
-    "crawl_content_fingerprint",
     "mutable_domains",
     "mutate_domain",
     "refresh_differential",

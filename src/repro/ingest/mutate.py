@@ -8,8 +8,8 @@ policy, a rebuilt site registered over the old one — so the domain's
 :func:`~repro.pipeline.cache.domain_input_fingerprint` moves exactly the
 way a real site edit would. :func:`touch_domain` is the control case: it
 changes a serving knob (page latency) that moves the input fingerprint
-without changing any extracted text, exercising the scheduler's
-content-fingerprint annotation-reuse shortcut.
+without changing any extracted text, so the scheduler re-crawls and
+re-annotates the domain and emits no patch for it.
 
 Everything is a pure function of ``(corpus seed, domain, revision)``:
 two corpora built from the same seed and mutated through the same
@@ -72,8 +72,9 @@ def touch_domain(corpus, domain: str) -> str:
 
     Bumps one page's simulated latency — a crawl-relevant serving knob
     that enters the site fingerprint but never the extracted policy text.
-    The scheduler must re-crawl such a domain yet skip re-annotation via
-    the crawl-content fingerprint. Returns the new input fingerprint.
+    The scheduler re-crawls and re-annotates such a domain, gets a
+    byte-identical record and emits no patch (``ingest.output_unchanged``).
+    Returns the new input fingerprint.
     """
     site = corpus.internet.site_for_host(domain)
     if site is None or not site.pages:

@@ -7,20 +7,24 @@ applies it to a serving snapshot without rebuilding the world:
   re-canonicalizes through ``build_snapshot`` — the refreshed snapshot
   is *by construction* byte-identical to building from scratch over the
   same record set (same sort, same dedup, same fingerprint function).
-- :func:`apply_patches_sharded` routes each patch to the shard owning
-  its domain (``shard_for_domain``) and rebuilds **only touched shards**
-  — their record tuples and fingerprints; untouched shard objects are
-  reused identically (the same Python objects), and every unchanged
-  record passes on as the same object, so a downstream
-  :class:`~repro.serve.shard.ShardedEngine` built with ``reuse_from``
-  patches its index with the changed records only. Records are frozen
-  and keep their canonical strings, so every fingerprint below streams
-  over strings already rendered and only the patched records are
-  serialized, once each. The global fingerprint is recomputed over the
-  merged stream and re-verified before anything is served or written:
-  :func:`~repro.serve.shard.verify_sharded`, the same verifier a load
-  runs, re-derives the touched shards' fingerprints, the routing
-  invariant, and the global fingerprint. The disk half is
+- :func:`apply_patches_sharded` is that plain refresh re-cut. It patches
+  the shard set's merged records as :func:`apply_patches` does (one
+  canonical sort, one global fingerprint), then
+  :func:`~repro.serve.shard.partition_snapshot` cuts the result with its
+  own bucketing, building **only the shards the patches route to** and
+  reusing every other shard as the same object. So the refreshed set's
+  records and fingerprint are, by construction, those of
+  ``apply_patches(merged_snapshot(sharded), patches)``, and each shard
+  holds the records, so the fingerprint, that a from-scratch cut gives
+  it. Every unchanged record passes on as the same object, so a
+  downstream :class:`~repro.serve.shard.ShardedEngine` built with
+  ``reuse_from`` patches its index with the changed records only.
+  Records are frozen and keep their canonical strings, so each digest
+  streams over strings already rendered — the global one once, each
+  touched shard's once — and only the patched records are serialized,
+  once each. Nothing is re-derived: the untouched shards were verified
+  when first built or loaded, and a load still runs the full
+  :func:`~repro.serve.shard.verify_sharded`. The disk half is
   :func:`~repro.serve.shard.write_sharded_snapshot`: shard files are
   content-named, so it writes only the touched shards' files and
   commits by replacing the manifest.
@@ -37,22 +41,23 @@ authoritative global fingerprint.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from operator import attrgetter
 
 from repro.errors import IngestError
 from repro.pipeline.records import DomainAnnotations
-from repro.serve.shard import ShardedSnapshot, shard_for_domain, \
-    verify_sharded
+from repro.serve.shard import (
+    ShardedSnapshot,
+    merged_snapshot,
+    partition_snapshot,
+    shard_for_domain,
+    verify_sharded,
+)
 from repro.serve.snapshot import (
     CorpusSnapshot,
     build_snapshot,
     snapshot_fingerprint,
     snapshot_from_cache,
 )
-
-_DOMAIN_KEY = attrgetter("domain")
 
 _PATCH_OPS = ("upsert", "remove")
 
@@ -93,27 +98,27 @@ class RecordPatch:
         return cls(op="remove", domain=domain)
 
 
-def _patched_records(records, patches,
-                     context: str) -> list[DomainAnnotations]:
-    by_domain = {record.domain: record for record in records}
+def _patched(snapshot: CorpusSnapshot, patches: list[RecordPatch],
+             where) -> CorpusSnapshot:
+    """``snapshot`` with ``patches`` applied, canonicalized and
+    fingerprinted; ``where(domain)`` names the place a removed domain is
+    missing from."""
+    by_domain = {record.domain: record for record in snapshot.records}
     for patch in patches:
-        if patch.op == "remove":
-            if patch.domain not in by_domain:
-                raise IngestError(
-                    f"cannot remove {patch.domain!r}: not present in "
-                    f"{context}")
-            del by_domain[patch.domain]
-        else:
+        if patch.op == "upsert":
             by_domain[patch.domain] = patch.record
-    return list(by_domain.values())
+        elif by_domain.pop(patch.domain, None) is None:
+            raise IngestError(
+                f"cannot remove {patch.domain!r}: not present in "
+                f"{where(patch.domain)}")
+    return build_snapshot(list(by_domain.values()), source=snapshot.source,
+                          provenance=dict(snapshot.provenance))
 
 
 def apply_patches(snapshot: CorpusSnapshot,
                   patches: list[RecordPatch]) -> CorpusSnapshot:
     """Apply a patch set to a plain snapshot; canonical by construction."""
-    records = _patched_records(snapshot.records, patches, "snapshot")
-    return build_snapshot(records, source=snapshot.source,
-                          provenance=dict(snapshot.provenance))
+    return _patched(snapshot, patches, lambda domain: "snapshot")
 
 
 @dataclass(frozen=True)
@@ -137,51 +142,27 @@ def touched_shards(patches: list[RecordPatch],
 
 def apply_patches_sharded(sharded: ShardedSnapshot,
                           patches: list[RecordPatch]) -> RefreshResult:
-    """Patch only the shards owning the changed domains.
+    """The plain refresh re-cut: patch the merged records, rebuild only
+    the shards the patches route to.
 
-    Untouched shard snapshots are reused as the same objects; touched
-    shards are rebuilt through ``build_snapshot``, which keeps the record
-    objects (a carried-over record is not serialized again). The global
-    fingerprint is recomputed over the merged record stream and the
-    whole result is re-verified before being returned — a bad patch set
-    raises instead of producing a servable-looking lie.
+    The merged records are patched, canonicalized and fingerprinted once,
+    as :func:`apply_patches` does; ``partition_snapshot`` then buckets
+    them and builds the touched shards, reusing every untouched shard
+    snapshot as the same object. A removal of an absent domain raises an
+    :class:`~repro.errors.IngestError` naming the domain's shard.
     """
-    count = len(sharded.shards)
     if not patches:
         return RefreshResult(sharded=sharded, touched=())
-    routed: dict[int, list[RecordPatch]] = {}
-    for patch in patches:
-        routed.setdefault(shard_for_domain(patch.domain, count),
-                          []).append(patch)
-
-    buckets: dict[int, list[DomainAnnotations]] = {}
-    for index, shard_patches in routed.items():
-        buckets[index] = _patched_records(
-            sharded.shards[index].records, shard_patches,
-            f"shard {index}")
-    merged = list(heapq.merge(
-        *(sorted(buckets[i], key=_DOMAIN_KEY) if i in buckets
-          else sharded.shards[i].records for i in range(count)),
-        key=_DOMAIN_KEY))
-    fingerprint = snapshot_fingerprint(merged)
-
-    shards = list(sharded.shards)
-    for index, bucket in buckets.items():
-        shards[index] = build_snapshot(
-            bucket, source=sharded.source,
-            provenance={**sharded.provenance, "shard": index,
-                        "shards": count,
-                        "corpus_fingerprint": fingerprint})
-    refreshed = ShardedSnapshot(shards=tuple(shards),
-                                fingerprint=fingerprint,
-                                source=sharded.source,
-                                provenance=dict(sharded.provenance))
-    # Untouched shards were verified when they were first built/loaded
-    # and are reused as the same objects, so only the touched shards'
-    # fingerprints are re-derived; routing and the global fingerprint
-    # are always checked over every shard.
-    verify_sharded(refreshed, shards=sorted(routed))
-    return RefreshResult(sharded=refreshed, touched=tuple(sorted(routed)))
+    count = sharded.shard_count
+    touched = touched_shards(patches, count)
+    refreshed = _patched(
+        merged_snapshot(sharded), patches,
+        lambda domain: f"shard {shard_for_domain(domain, count)}")
+    kept = {index: shard for index, shard in enumerate(sharded.shards)
+            if index not in touched}
+    return RefreshResult(
+        sharded=partition_snapshot(refreshed, count, reuse=kept),
+        touched=tuple(touched))
 
 
 def refresh_differential(corpus, options, cache, refreshed, *,

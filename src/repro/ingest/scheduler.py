@@ -1,35 +1,28 @@
 """The ingest watcher: policy-driven re-crawl with delta re-annotation.
 
 :class:`IngestScheduler` keeps an in-memory ledger of what each watched
-domain last looked like — input fingerprint, crawl-content fingerprint,
-and the served annotation record — and re-checks domains on a
-:class:`SchedulePolicy` (interval with seeded stagger, priority domains
-every round, explicit triggers). Each round emits a
-:class:`~repro.ingest.refresh.RecordPatch` set describing exactly what
-the serving snapshot must change, and nothing else.
+domain last looked like — its input fingerprint and the served
+annotation record — and re-checks domains on a :class:`SchedulePolicy`
+(interval with seeded stagger, priority domains every round, explicit
+triggers). Each round emits a :class:`~repro.ingest.refresh.RecordPatch`
+set describing exactly what the serving snapshot must change, and
+nothing else.
 
-Change detection is two-tiered, cheapest test first:
-
-1. **Input fingerprint** (:func:`~repro.pipeline.cache.domain_input_fingerprint`).
-   Unchanged → the domain is *skipped entirely*: no crawl, no cache I/O
-   beyond the fingerprint hash, counted under ``ingest.skipped``.
-2. **Crawl-content fingerprint** (:func:`crawl_content_fingerprint`):
-   a digest of the crawl outcome + extracted policy text. Inputs changed
-   but content identical (a latency knob, a robots tweak that alters no
-   text) → the prior record is *reused without re-annotating*
-   (``ingest.annotate_reused``), sound because an annotation record is a
-   pure function of ``(domain, sector, document, options)`` with the
-   model re-seeded per domain. Only genuinely changed content reaches
-   the annotate step (``ingest.annotated``).
-
-Both delta paths call the two-layer cache's own record, crawl and
-annotate steps (:mod:`repro.pipeline.cache`), the ones the pipeline's
-per-domain step :func:`~repro.pipeline.cache.process_domain` runs — so
-a full pipeline re-run over the mutated corpus produces byte-identical
-records, which is the differential proof the refresh harness asserts.
-The scheduler calls the steps itself, not ``process_domain``, because
-its content-fingerprint shortcut sits between the crawl step and the
-annotate step.
+Change detection is one test, the **input fingerprint**
+(:func:`~repro.pipeline.cache.domain_input_fingerprint`). Unchanged →
+the domain is *skipped entirely*: no crawl, no cache I/O beyond the
+fingerprint hash, counted under ``ingest.skipped``. Changed → the domain
+runs through the pipeline's one per-domain step,
+:func:`~repro.pipeline.cache.process_domain`, with the scheduler's cache
+and keys: the records layer, then the crawl layer, then the annotate
+step, each checkpointed. Bootstrap runs every watched domain through the
+same step, so every cache entry the watcher writes is one a pipeline run
+would write, and a full pipeline re-run over the mutated corpus replays
+byte-identical records (the differential proof the refresh harness
+asserts), traces, token counts and fetch counters. An annotate step on an
+extracted document counts under ``ingest.annotated``; a changed domain
+whose record lands byte-identical (a latency knob, a robots tweak that
+alters no text) emits no patch (``ingest.output_unchanged``).
 
 Rounds are replayable: the due set and its order are pure functions of
 ``(seed, round number, policy, watched set)``.
@@ -45,39 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro._util.artifacts import content_digest
 from repro._util.profiling import StageTimings
 from repro._util.rng import stable_hash
 from repro.errors import IngestError
 from repro.ingest.refresh import RecordPatch
-from repro.pipeline.cache import (
-    CachedCrawl,
-    CachedRecord,
-    CacheKeys,
-    annotate_crawl,
-    load_or_crawl,
-    replay_record,
-)
+from repro.pipeline.cache import CacheKeys, process_domain
 from repro.pipeline.records import DomainAnnotations
 from repro.pipeline.runner import PipelineOptions
 from repro.crawler.crawler import PrivacyCrawler
 from repro.web.browser import Browser
-
-
-def crawl_content_fingerprint(sector: str, crawl_entry: CachedCrawl) -> str:
-    """Digest of everything annotation reads from a crawl.
-
-    Covers the outcome, the sector, and the preprocessed document lines
-    (number, text, heading level). Two crawls with equal fingerprints
-    yield byte-identical annotation records under the same options — the
-    soundness condition for the annotate-reuse shortcut.
-    """
-    lines = None
-    if crawl_entry.document is not None:
-        lines = [[line.number, line.text, line.heading_level]
-                 for line in crawl_entry.document.lines]
-    return content_digest({"outcome": crawl_entry.outcome,
-                           "sector": sector, "document": lines})
 
 
 @dataclass(frozen=True)
@@ -105,7 +74,6 @@ class DomainState:
     """Ledger entry: what the watcher last saw for one domain."""
 
     input_fp: str
-    content_fp: str | None
     record: DomainAnnotations
 
 
@@ -222,8 +190,7 @@ class IngestScheduler:
         """First full pass: fill the ledger (and warm the cache) for every
         watched domain; returns the records the initial snapshot holds."""
         for domain in self.domains:
-            self._ingest(domain, self.keys.refresh_domain(domain),
-                         previous=None)
+            self._ingest(domain, self.keys.refresh_domain(domain))
         self.counters.increment("ingest.bootstrapped", len(self.domains))
         return self.records()
 
@@ -254,7 +221,7 @@ class IngestScheduler:
                 self.counters.increment("ingest.skipped")
                 continue
             result.changed.append(domain)
-            record = self._ingest(domain, fp, previous=state)
+            record = self._ingest(domain, fp)
             if state is None:
                 result.patches.append(RecordPatch.upsert(domain, record))
                 self.counters.increment("ingest.launched")
@@ -263,7 +230,7 @@ class IngestScheduler:
                 self.counters.increment("ingest.patched")
             else:
                 # Inputs moved but the annotation landed byte-identical
-                # (annotate-reuse, or a change that round-tripped): the
+                # (a serving knob, or a change that round-tripped): the
                 # serving snapshot needs nothing.
                 self.counters.increment("ingest.output_unchanged")
         if self.compact_every and self.round_no % self.compact_every == 0:
@@ -274,53 +241,29 @@ class IngestScheduler:
 
     @cached_property
     def _cascade(self):
-        """The cascade model every annotate step of this scheduler uses,
-        resolved at the first one (``None`` unless the options select the
-        cascade)."""
+        """The cascade model every per-domain step of this scheduler
+        uses, resolved at the first one (``None`` unless the options
+        select the cascade)."""
         from repro.pipeline.cascade import cascade_model_for
 
         return cascade_model_for(self.options)
 
-    def _ingest(self, domain: str, input_fp: str,
-                previous: DomainState | None) -> DomainAnnotations:
-        """Re-ingest one changed (or new) domain through the cache layers.
+    def _ingest(self, domain: str, input_fp: str) -> DomainAnnotations:
+        """Run one changed (or new) domain through
+        :func:`~repro.pipeline.cache.process_domain` and record it in the
+        ledger.
 
-        Runs the cache module's own steps — the records layer
-        (:func:`~repro.pipeline.cache.replay_record`), the crawl layer
-        (:func:`~repro.pipeline.cache.load_or_crawl`) and the annotate
-        step (:func:`~repro.pipeline.cache.annotate_crawl`), with the same
-        keys and counters as :func:`~repro.pipeline.cache.process_domain`
-        — plus the content-fingerprint shortcut: when the freshly crawled
-        content fingerprints equal to what the ledger last annotated, the
-        prior record is stored under the new record key without
-        annotating at all. (The reused entry carries the fresh crawl
-        trace, which lacks the segmentation fields a fresh annotate would
-        add; traces never enter snapshot bytes.)
+        Each annotate step on an extracted document enters the
+        ``segment`` stage once, so a rise of that stage's count is what
+        ``ingest.annotated`` counts.
         """
-        corpus, cache, keys = self.corpus, self.cache, self.keys
-        sector = corpus.sector_of.get(domain, "??")
-        record_key = keys.record_key(domain)
-        entry = replay_record(cache, record_key, self.counters)
-        if entry is not None:
-            crawl = cache.load_crawl(keys.crawl_key(domain))
-            content_fp = crawl_content_fingerprint(sector, crawl) \
-                if crawl is not None else None
-        else:
-            crawl = load_or_crawl(self._crawler, domain, self.counters,
-                                  cache, keys)
-            content_fp = crawl_content_fingerprint(sector, crawl)
-            if previous is not None and previous.content_fp == content_fp:
-                entry = CachedRecord(record=previous.record,
-                                     trace=crawl.trace, prompt_tokens=0,
-                                     completion_tokens=0, fetch=crawl.fetch)
-                self.counters.increment("ingest.annotate_reused")
-            else:
-                entry = annotate_crawl(corpus, domain, crawl, self.options,
-                                       self.counters, cascade=self._cascade)
-                if crawl.outcome == "ok":
-                    self.counters.increment("ingest.annotated")
-            cache.store_record(record_key, entry)
-        self.ledger[domain] = DomainState(input_fp, content_fp, entry.record)
+        segmented = self.counters.count("segment")
+        entry = process_domain(self.corpus, self._crawler, domain,
+                               self.options, self.counters, self.cache,
+                               self.keys, cascade=self._cascade)
+        if self.counters.count("segment") > segmented:
+            self.counters.increment("ingest.annotated")
+        self.ledger[domain] = DomainState(input_fp, entry.record)
         return entry.record
 
     # -- compaction ------------------------------------------------------
@@ -353,5 +296,4 @@ __all__ = [
     "IngestRound",
     "IngestScheduler",
     "SchedulePolicy",
-    "crawl_content_fingerprint",
 ]

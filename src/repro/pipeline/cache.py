@@ -349,11 +349,6 @@ class PipelineCache:
                 continue
         return removed
 
-    def iter_keys(self, layer: str = "all"):
-        """Yield ``(layer, key)`` for every stored entry."""
-        for path in self._entries(layer):
-            yield path.parent.parent.name, path.stem
-
     def prune(self, live_keys, layer: str = "all") -> int:
         """Compaction: drop every entry whose key is not in ``live_keys``.
 

@@ -30,11 +30,12 @@ content fingerprint (``shard-0003-<fingerprint>.snap.json``).
 files not yet present, replaces the manifest last (the one commit
 point), then deletes the files the manifest no longer names, so a crash
 at any point leaves the previous generation or the new one.
-:func:`verify_sharded` is the one verifier, for a load and an in-memory
-refresh alike: shard fingerprints, the routing invariant (each domain
-lives in its hash-assigned shard), and the recomputed global
-fingerprint — a torn, reordered, or misassembled shard set is rejected,
-never served.
+:func:`verify_sharded` is the one verifier, which every load runs:
+shard fingerprints, the routing invariant (each domain lives in its
+hash-assigned shard), and the recomputed global fingerprint — a torn,
+reordered, or misassembled shard set is rejected, never served. An
+in-memory refresh re-derives nothing: it is the plain refresh re-cut by
+:func:`partition_snapshot` (:mod:`repro.ingest.refresh`).
 """
 
 from __future__ import annotations
@@ -112,20 +113,26 @@ class ShardedSnapshot:
                                 key=_DOMAIN_KEY))
 
 
-def partition_snapshot(snapshot: CorpusSnapshot,
-                       shards: int) -> ShardedSnapshot:
+def partition_snapshot(snapshot: CorpusSnapshot, shards: int, *,
+                       reuse: dict[int, CorpusSnapshot] | None = None
+                       ) -> ShardedSnapshot:
     """Cut one snapshot into N hash-routed shard snapshots.
 
     Each shard is a full-fledged verified snapshot (its own fingerprint
     over its own records); shard provenance records the placement so a
-    shard file found on disk is self-describing.
+    shard file found on disk is self-describing. ``reuse`` maps shard
+    indexes to shard snapshots that already hold the records ``snapshot``
+    routes there; those are kept as the same objects, not built again (a
+    delta refresh passes the shards its patches do not touch).
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")
+    reuse = reuse or {}
     buckets: list[list[DomainAnnotations]] = [[] for _ in range(shards)]
     for record in snapshot.records:
         buckets[shard_for_domain(record.domain, shards)].append(record)
     shard_snapshots = tuple(
+        reuse[index] if index in reuse else
         build_snapshot(bucket, source=snapshot.source,
                        provenance={**snapshot.provenance,
                                    "shard": index, "shards": shards,
@@ -274,10 +281,10 @@ def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
     fingerprint.
 
     Re-derives the fingerprint of each selected shard (every shard by
-    default; a refresh passes the shards it rebuilt, a load none, since
-    each file was verified as it was read), checks that every record of
-    every shard sits on the shard its domain hashes to, and re-derives
-    the global fingerprint over the merged record stream. Reasons:
+    default; a load passes none, since each file was verified as it was
+    read), checks that every record of every shard sits on the shard its
+    domain hashes to, and re-derives the global fingerprint over the
+    merged record stream. Reasons:
     ``shard-fingerprint-mismatch``, ``shard-misrouted`` and
     ``fingerprint-mismatch``.
     """

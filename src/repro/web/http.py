@@ -28,10 +28,6 @@ class Status(IntEnum):
     def is_redirect(self) -> bool:
         return self in (Status.MOVED_PERMANENTLY, Status.FOUND)
 
-    @property
-    def is_success(self) -> bool:
-        return 200 <= self < 300
-
 
 @dataclass(frozen=True)
 class Request:
@@ -65,10 +61,6 @@ class Response:
     def ok(self) -> bool:
         """True when status is below 400 (the paper's success criterion)."""
         return int(self.status) < 400
-
-    @property
-    def is_html(self) -> bool:
-        return self.content_type.startswith("text/html")
 
     @property
     def is_pdf(self) -> bool:

@@ -98,7 +98,7 @@ def _write_golden(snap: dict) -> None:
             "serial", "parallel(workers=3, shard_size=4)",
             "backend matrix: {serial,thread,process} x workers {1,2,4}",
             "cached cold+warm per backend",
-            "cached cold", "cached warm", "use_docindex=False",
+            "cached cold", "cached warm",
             "cascade: serial + backend matrix + cached cold/warm "
             "(records_cascade.jsonl)",
             "cascade threshold>=1.0 == chatbot records byte-identically",

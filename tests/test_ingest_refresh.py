@@ -133,6 +133,9 @@ class TestApplyPatchesSharded:
         plain = apply_patches(snapshot, patches)
         assert result.sharded.fingerprint == plain.fingerprint
         assert result.sharded.records() == list(plain.records)
+        scratch = partition_snapshot(plain, 4)
+        assert [s.fingerprint for s in result.sharded.shards] == \
+            [s.fingerprint for s in scratch.shards]
 
     def test_empty_patchset_returns_same_object(self):
         sharded = partition_snapshot(_snapshot(8), 3)

@@ -37,7 +37,7 @@ def _world(tmp_path_factory, name: str, fraction: float = 0.01):
 
 class TestLifecycle:
     """One watcher lifecycle over a mutable corpus: bootstrap, skip-all,
-    exactly-K delta, annotate-reuse, compaction."""
+    exactly-K delta, a touch that patches nothing, compaction."""
 
     @pytest.fixture(scope="class")
     def world(self, tmp_path_factory):
@@ -94,7 +94,7 @@ class TestLifecycle:
         rebuilt = snapshot_from_cache(corpus, PipelineOptions(), cache)
         assert rebuilt.fingerprint == result.sharded.fingerprint
 
-    def test_touch_reuses_annotation_without_patching(self, world):
+    def test_touch_reannotates_without_patching(self, world):
         corpus, _, scheduler, _ = world
         victim = mutable_domains(corpus)[0]
         touch_domain(corpus, victim)
@@ -105,12 +105,11 @@ class TestLifecycle:
         def delta(name):
             return after.get(name, 0) - before.get(name, 0)
 
-        # input fingerprint moved → re-crawled; content fingerprint
-        # unchanged → annotation reused; record byte-identical → no patch
+        # input fingerprint moved → re-crawled and re-annotated; record
+        # byte-identical → no patch
         assert victim in rnd.changed
         assert delta("cache.record.miss") == 1
-        assert delta("ingest.annotate_reused") == 1
-        assert delta("ingest.annotated") == 0
+        assert delta("ingest.annotated") == 1
         assert delta("ingest.output_unchanged") == 1
         assert rnd.patches == []
 
@@ -207,8 +206,8 @@ class TestWatchSet:
 class TestSharedCacheSteps:
     def test_pipeline_replays_what_bootstrap_stored(self, tmp_path,
                                                      monkeypatch):
-        """The watcher and the pipeline share the cache's record and crawl
-        steps, so each replays exactly what the other stored."""
+        """The watcher and the pipeline share the per-domain step and its
+        cache layers, so each replays exactly what the other stored."""
         corpus = build_corpus(CorpusConfig(seed=SEED, fraction=0.01))
         cache = PipelineCache(tmp_path / "cache")
         watched = corpus.domains[:8]
@@ -239,6 +238,37 @@ class TestSharedCacheSteps:
         assert counts.get(MISS_CRAWL, 0) == 0
         assert fetches == []
         assert [r.to_json() for r in rerun.records] == expected
+
+    def test_warm_pipeline_over_a_watched_cache_equals_a_cold_run(
+            self, tmp_path):
+        """Every entry the watcher writes is the one a pipeline run would
+        write: after a round over a touched and an edited domain, a warm
+        run over its cache reports what a cold run reports — records,
+        traces, token counts and fetch counters."""
+        corpus = build_corpus(CorpusConfig(seed=SEED, fraction=0.01))
+        cache = PipelineCache(tmp_path / "cache")
+        touched, edited = mutable_domains(corpus)[:2]
+        watched = corpus.domains[:8] + [
+            d for d in (touched, edited) if d not in corpus.domains[:8]]
+        scheduler = IngestScheduler(corpus, PipelineOptions(), cache,
+                                    domains=watched, seed=2)
+        scheduler.bootstrap()
+        touch_domain(corpus, touched)
+        mutate_domain(corpus, edited, 1)
+        rnd = scheduler.run_round()
+        assert sorted(rnd.changed) == sorted([touched, edited])
+        assert [p.domain for p in rnd.patches] == [edited]
+
+        warm = run_pipeline(corpus, PipelineOptions(), domains=watched,
+                            cache=cache)
+        assert warm.stage_timings.counts()[HIT_RECORD] == len(watched)
+        cold = run_pipeline(corpus, PipelineOptions(), domains=watched)
+        assert [r.to_json() for r in warm.records] == \
+            [r.to_json() for r in cold.records]
+        assert warm.traces == cold.traces
+        assert (warm.prompt_tokens, warm.completion_tokens) == \
+            (cold.prompt_tokens, cold.completion_tokens)
+        assert warm.fetch_stats == cold.fetch_stats
 
 
 class TestReplayability:

@@ -6,8 +6,8 @@ records that changed. These tests pin that the memo changes no byte (the
 streamed fingerprint equals the old payload-list digest), that a decoded
 record is fingerprinted as decoded, that the patched index equals a
 fresh build, and that a K-record refresh plus swap serializes, compiles
-and re-indexes only the K patched records, whatever N is, sharded or
-not.
+and re-indexes only the K patched records and derives each record-set
+digest once, whatever N is, sharded or not.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.serve.index as index_mod
+import repro.serve.snapshot as snapshot_mod
 from repro._util.artifacts import canonical_json, content_digest, \
     write_json_atomic
 from repro.errors import SnapshotError
@@ -40,6 +41,7 @@ from repro.serve import (
     load_sharded_snapshot,
     merged_snapshot,
     partition_snapshot,
+    shard_for_domain,
     snapshot_fingerprint,
     write_sharded_snapshot,
 )
@@ -213,10 +215,11 @@ def test_reused_forms_and_rows_equal_a_fresh_build(shards):
 
 
 def _delta_costs(n: int, shards: int,
-                 monkeypatch) -> tuple[int, list[str], list[str]]:
-    """Serializations in one 3-patch refresh, and the records its swap
-    compiles and whose contributions it applies, over ``n`` records
-    served in ``shards`` shards (1: an unsharded server)."""
+                 monkeypatch) -> tuple[int, int, list[str], list[str]]:
+    """Serializations and record-set digests in one 3-patch refresh, and
+    the records its swap compiles and whose contributions it applies,
+    over ``n`` records served in ``shards`` shards (1: an unsharded
+    server)."""
     snapshot = build_snapshot([_record(f"site{i}.com") for i in range(n)])
     served = partition_snapshot(snapshot, shards) if shards > 1 else snapshot
     server = AnnotationServer(served, ServerConfig(shards=shards))
@@ -224,14 +227,19 @@ def _delta_costs(n: int, shards: int,
                                   _record(f"site{i}.com", f"edit {i}"))
                for i in (0, 1, 2)]
     serialized: list[str] = []
+    digests: list[int] = []
     compiled: list[str] = []
     contributed: list[str] = []
     to_json = DomainAnnotations.to_json
+    records_digest = snapshot_mod._records_digest
     compile_record = index_mod.compile_record
     record_contribution = index_mod.record_contribution
     monkeypatch.setattr(
         DomainAnnotations, "to_json",
         lambda self: serialized.append(self.domain) or to_json(self))
+    monkeypatch.setattr(
+        snapshot_mod, "_records_digest",
+        lambda records: digests.append(1) or records_digest(records))
     monkeypatch.setattr(
         index_mod, "compile_record",
         lambda record: compiled.append(record.domain)
@@ -244,12 +252,13 @@ def _delta_costs(n: int, shards: int,
         refreshed = apply_patches_sharded(served, patches).sharded
     else:
         refreshed = apply_patches(served, patches)
-    refresh_serialized = len(serialized)
+    refresh_serialized, refresh_digests = len(serialized), len(digests)
     report = server.swap_snapshot(refreshed)
     assert report.shards_reused + report.shards_rebuilt == shards
     assert len(serialized) == refresh_serialized  # the swap renders none
     monkeypatch.undo()
-    return refresh_serialized, sorted(compiled), sorted(contributed)
+    return (refresh_serialized, refresh_digests, sorted(compiled),
+            sorted(contributed))
 
 
 def test_refresh_and_swap_cost_the_delta_not_the_corpus(monkeypatch):
@@ -260,8 +269,13 @@ def test_refresh_and_swap_cost_the_delta_not_the_corpus(monkeypatch):
         # Each patched record is serialized at most once, and only the
         # patched records are compiled, at either corpus size.
         assert small[0] <= 3, shards
-        assert small[1] == patched, shards
+        assert small[2] == patched, shards
+        # The refresh derives each digest once: the patched record set's,
+        # and each touched shard's.
+        touched = {shard_for_domain(d, shards) for d in patched} \
+            if shards > 1 else set()
+        assert small[1] == 1 + len(touched), shards
         # The swap takes away each replaced record's contribution and
         # adds its new one's; no other record is re-indexed.
-        assert small[2] == sorted(patched * 2), shards
+        assert small[3] == sorted(patched * 2), shards
         assert small == large, shards
