@@ -82,8 +82,8 @@ def _build(seed: int, n_domains: int):
 
 
 def _workload(snapshot, requests: int) -> list:
-    domains = sorted(r.domain for r in snapshot.records())
-    sectors = sorted({r.sector for r in snapshot.records()})
+    domains = sorted(r.domain for r in snapshot.records)
+    sectors = sorted({r.sector for r in snapshot.records})
     probes = [DomainLookup(domain=d) for d in domains]
     probes += [SectorAggregate(sector=s) for s in sectors]
     probes.append(TopDescriptors(facet="types", k=10))

@@ -242,6 +242,83 @@ def _category_vocab(taxonomy_name: str) -> dict[str, frozenset[str]]:
     return vocab
 
 
+def lexicon_matches(analysis, tag: str, matcher_for, taxonomy_name: str):
+    """``matcher_for(taxonomy_name)``'s matches in one line, found once
+    per line and memoized under ``(tag, taxonomy_name)``."""
+    key = (tag, taxonomy_name)
+    cached = analysis.memo.get(key)
+    if cached is None:
+        matcher = matcher_for(taxonomy_name)
+        cached = tuple(matcher.find_all(analysis.text, analysis.tokens))
+        analysis.memo[key] = cached
+    return cached
+
+
+def novel_enumeration_items(text: str, trigger_spans, covered):
+    """Out-of-glossary enumeration items, as ``(start, end, phrase)``.
+
+    Walks the enumeration after each trigger up to the next ``.``, and
+    only where it holds a known match (a ``covered`` span starts in it) —
+    the signal that the sentence really enumerates this taxonomy's kind
+    of item (and not, say, a purposes list met while extracting data
+    types from full text). Each item between separators that
+    :func:`_novel_candidate` keeps is yielded. The engine's extractor and
+    the cascade's escalation check both walk through here.
+    """
+    for _, trigger_end in trigger_spans:
+        end = text.find(".", trigger_end)
+        end = end if end != -1 else len(text)
+        if not any(trigger_end <= c_start < end for c_start, _ in covered):
+            continue
+        segment_text = text[trigger_end:end]
+        # Walk the enumeration with real separator spans — the
+        # separators (", ", " and ", " or ", ";") have different
+        # lengths, so each item's true position is the text between
+        # consecutive separator matches, not a running guess.
+        pos = 0
+        pieces: list[tuple[int, str]] = []
+        for sep in _ENUM_SPLIT_RE.finditer(segment_text):
+            pieces.append((pos, segment_text[pos:sep.start()]))
+            pos = sep.end()
+        pieces.append((pos, segment_text[pos:]))
+        for rel_start, raw in pieces:
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            seg_start = (trigger_end + rel_start
+                         + (len(raw) - len(raw.lstrip())))
+            candidate = _novel_candidate(text, stripped, seg_start, covered)
+            if candidate is not None:
+                yield candidate
+
+
+def _novel_candidate(text, stripped, seg_start, covered):
+    if _PREPOSITION_START_RE.match(stripped):
+        return None
+    match = _DETERMINER_RE.match(stripped)
+    core = stripped[match.end():] if match else stripped
+    core = core.strip()
+    start = seg_start + (len(stripped) - len(core))
+    end_pos = start + len(core)
+    # Skip anything overlapping a known lexicon match.
+    for c_start, c_end in covered:
+        if start < c_end and end_pos > c_start:
+            return None
+    words = core.split()
+    if not 1 <= len(words) <= 4:
+        return None
+    stems = [stem_token(w) for w in re.findall(r"[A-Za-z0-9]+", core)]
+    if not stems:
+        return None
+    if stems[0] in _VERBISH_STEMS:
+        return None
+    if all(s in _ENUM_STOP_STEMS for s in stems):
+        return None
+    if any(ch.isdigit() for ch in core):
+        return None
+    return start, end_pos, core
+
+
 class AnnotationEngine:
     """Ideal task competence over the annotation taxonomies.
 
@@ -330,15 +407,6 @@ class AnnotationEngine:
                           ) -> tuple[tuple[int, int], ...]:
         return trigger_contexts(analysis, taxonomy_name)
 
-    def _lexicon_matches(self, analysis, taxonomy_name: str):
-        key = ("matches", taxonomy_name)
-        cached = analysis.memo.get(key)
-        if cached is None:
-            matcher = _matcher_for(taxonomy_name)
-            cached = tuple(matcher.find_all(analysis.text, analysis.tokens))
-            analysis.memo[key] = cached
-        return cached
-
     def _compute_line_mentions(self, analysis, taxonomy_name: str,
                                ) -> tuple[tuple[str, bool, DescriptorRef | None], ...]:
         text = analysis.text
@@ -348,7 +416,8 @@ class AnnotationEngine:
         scopes = analysis.negation_scopes
         out: list[tuple[str, bool, DescriptorRef | None]] = []
         covered: list[tuple[int, int]] = []
-        for match in self._lexicon_matches(analysis, taxonomy_name):
+        for match in lexicon_matches(analysis, "matches", _matcher_for,
+                                     taxonomy_name):
             if not _in_ranges(contexts, match.char_start, match.char_end):
                 continue
             ref = match.payload
@@ -371,74 +440,13 @@ class AnnotationEngine:
 
     def _novel_mentions(self, text, covered, scopes, trigger_spans,
                         ) -> list[tuple[str, bool, None]]:
-        """Pattern-based extraction of out-of-glossary enumeration items.
-
-        A candidate is only kept when its enumeration also contains at
-        least one glossary match — the signal that the sentence really
-        enumerates this taxonomy's kind of item (and not, say, a purposes
-        list encountered while extracting data types from full text).
-        """
+        """Pattern-based extraction of out-of-glossary enumeration items
+        (:func:`novel_enumeration_items`), each tagged with its negation."""
         novel: list[tuple[str, bool, None]] = []
-        for _, trigger_end in trigger_spans:
-            end = text.find(".", trigger_end)
-            end = end if end != -1 else len(text)
-            has_known = any(
-                trigger_end <= c_start < end for c_start, _ in covered
-            )
-            if not has_known:
-                continue
-            segment_text = text[trigger_end:end]
-            # Walk the enumeration with real separator spans — the
-            # separators (", ", " and ", " or ", ";") have different
-            # lengths, so each item's true position is the text between
-            # consecutive separator matches, not a running guess.
-            pos = 0
-            pieces: list[tuple[int, str]] = []
-            for sep in _ENUM_SPLIT_RE.finditer(segment_text):
-                pieces.append((pos, segment_text[pos:sep.start()]))
-                pos = sep.end()
-            pieces.append((pos, segment_text[pos:]))
-            for rel_start, raw in pieces:
-                stripped = raw.strip()
-                if not stripped:
-                    continue
-                seg_start = (trigger_end + rel_start
-                             + (len(raw) - len(raw.lstrip())))
-                candidate = self._novel_candidate(text, stripped, seg_start,
-                                                  covered)
-                if candidate is not None:
-                    start, end_pos, phrase = candidate
-                    novel.append(
-                        (phrase, is_negated(scopes, start, end_pos), None)
-                    )
+        for start, end_pos, phrase in novel_enumeration_items(
+                text, trigger_spans, covered):
+            novel.append((phrase, is_negated(scopes, start, end_pos), None))
         return novel
-
-    @staticmethod
-    def _novel_candidate(text, stripped, seg_start, covered):
-        if _PREPOSITION_START_RE.match(stripped):
-            return None
-        match = _DETERMINER_RE.match(stripped)
-        core = stripped[match.end():] if match else stripped
-        core = core.strip()
-        start = seg_start + (len(stripped) - len(core))
-        end_pos = start + len(core)
-        # Skip anything overlapping a known lexicon match.
-        for c_start, c_end in covered:
-            if start < c_end and end_pos > c_start:
-                return None
-        words = core.split()
-        if not 1 <= len(words) <= 4:
-            return None
-        stems = [stem_token(w) for w in re.findall(r"[A-Za-z0-9]+", core)]
-        if not stems:
-            return None
-        if stems[0] in _VERBISH_STEMS:
-            return None
-        if all(s in _ENUM_STOP_STEMS for s in stems):
-            return None
-        if any(ch.isdigit() for ch in core):
-            return None
-        return start, end_pos, core
 
     # -- normalization tasks -----------------------------------------------------------
 

@@ -319,12 +319,13 @@ def cmd_query(args) -> int:
     from repro.errors import QueryError
     from repro.serve import (
         AspectMentions,
+        CorpusIndex,
         DomainLookup,
         FacetFilter,
+        QueryEngine,
         SectorAggregate,
         TableAggregate,
         TopDescriptors,
-        engine_for,
     )
 
     # Each mode flag and the typed query it builds.
@@ -342,7 +343,8 @@ def cmd_query(args) -> int:
             status=args.status),
     }
     query = queries[_one_mode(args, "query", queries)]()
-    engine = engine_for(_load_snapshot_arg(args.snapshot))
+    snapshot = _load_snapshot_arg(args.snapshot)
+    engine = QueryEngine(CorpusIndex.build(snapshot))
     try:
         print(engine.execute(query).to_json())
     except QueryError as exc:
@@ -359,8 +361,8 @@ def cmd_compliance(args) -> int:
     from repro.compliance import ReferenceEvaluator, compile_record, \
         load_rule_pack, parse_predicate, scan_forms
     from repro.errors import ComplianceError, PredicateError, QueryError
-    from repro.serve import ComplianceScan, PredicateQuery, ShardedSnapshot, \
-        engine_for, query_kind
+    from repro.serve import ComplianceScan, CorpusIndex, PredicateQuery, \
+        QueryEngine, query_kind
 
     mode = _one_mode(args, "compliance", _COMPLIANCE_MODES)
     if mode == "predicate":
@@ -377,8 +379,7 @@ def cmd_compliance(args) -> int:
             "--engine only applies to built-in packs; a user --rule-pack "
             "always evaluates through the reference scan")
     snapshot = _load_snapshot_arg(args.snapshot)
-    records = list(snapshot.records() if isinstance(snapshot, ShardedSnapshot)
-                   else snapshot.records)
+    records = list(snapshot.records)
 
     if mode == "compile":  # print the domain's canonical logical form
         record = next((r for r in records
@@ -409,7 +410,7 @@ def cmd_compliance(args) -> int:
     try:
         indexed_body = oracle_body = None
         if args.engine in ("indexed", "check"):
-            engine = engine_for(snapshot)
+            engine = QueryEngine(CorpusIndex.build(snapshot))
             indexed_body = engine.execute(query).to_json()
         if args.engine in ("oracle", "check"):
             oracle = ReferenceEvaluator(records)
@@ -645,7 +646,7 @@ def cmd_chaos(args) -> int:
         ServerConfig,
         ShardedSnapshot,
         WorkloadConfig,
-        merged_snapshot,
+        partition_snapshot,
         run_chaos,
         snapshot_corruption_trials,
     )
@@ -653,12 +654,12 @@ def cmd_chaos(args) -> int:
     snapshot = _load_snapshot_arg(args.snapshot)
     shards = args.shards
     if isinstance(snapshot, ShardedSnapshot):
-        # The server re-partitions the merged snapshot; a sharded
-        # directory implies its own shard count unless --shards overrides
-        # it.
+        # A sharded directory is served as loaded, at its own shard count
+        # unless --shards overrides it.
         if shards == 1:
             shards = snapshot.shard_count
-        snapshot = merged_snapshot(snapshot)
+        elif shards != snapshot.shard_count:
+            snapshot = partition_snapshot(snapshot, shards)
     if args.faults:
         classes = tuple(name.strip() for name in args.faults.split(",")
                         if name.strip())

@@ -8,7 +8,6 @@ from repro.crawler.crawler import (
     CrawlResult,
     PageRecord,
     PrivacyCrawler,
-    crawl_all,
 )
 from repro.crawler.links import (
     Link,
@@ -26,7 +25,6 @@ __all__ = [
     "CrawlResult",
     "PageRecord",
     "PrivacyCrawler",
-    "crawl_all",
     "Link",
     "extract_links",
     "footer_privacy_links",

@@ -17,9 +17,8 @@ fetches that returned HTTP status < 400.
 A page's HTML is parsed once, on first use: :attr:`PageRecord.tree` is the
 tree the crawler reads links from and the tree pre-processing renders. It
 lives as long as the page record, which the pipeline drops with its
-domain; :func:`crawl_all` and the executor's ``crawl_domains``, which keep
-every crawl, drop the trees (:meth:`CrawlResult.drop_trees`) as each
-domain finishes.
+domain; the executor's ``crawl_domains``, which keeps every crawl, drops
+the trees (:meth:`CrawlResult.drop_trees`) as each domain finishes.
 """
 
 from __future__ import annotations
@@ -202,16 +201,3 @@ class PrivacyCrawler:
         )
         result.pages.append(record)
         return record
-
-
-def crawl_all(browser: Browser, domains: list[str],
-              progress=None) -> dict[str, CrawlResult]:
-    """Crawl a list of domains; returns results keyed by domain."""
-    crawler = PrivacyCrawler(browser)
-    results: dict[str, CrawlResult] = {}
-    for index, domain in enumerate(domains):
-        results[domain] = crawl = crawler.crawl_domain(domain)
-        crawl.drop_trees()
-        if progress is not None:
-            progress(index + 1, len(domains), domain)
-    return results

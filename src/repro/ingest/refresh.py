@@ -3,20 +3,21 @@
 A watcher round produces a small :class:`RecordPatch` set; this module
 applies it to a serving snapshot without rebuilding the world:
 
-- :func:`apply_patches` edits a plain :class:`CorpusSnapshot` and
+- :func:`apply_patches` edits a :class:`CorpusSnapshot` and
   re-canonicalizes through ``build_snapshot`` — the refreshed snapshot
   is *by construction* byte-identical to building from scratch over the
   same record set (same sort, same dedup, same fingerprint function).
-- :func:`apply_patches_sharded` is that plain refresh re-cut. It patches
-  the shard set's merged records as :func:`apply_patches` does (one
-  canonical sort, one global fingerprint), then
-  :func:`~repro.serve.shard.partition_snapshot` cuts the result with its
-  own bucketing, building **only the shards the patches route to** and
-  reusing every other shard as the same object. So the refreshed set's
-  records and fingerprint are, by construction, those of
-  ``apply_patches(merged_snapshot(sharded), patches)``, and each shard
-  holds the records, so the fingerprint, that a from-scratch cut gives
-  it. Every unchanged record passes on as the same object, so a
+- :func:`apply_patches_sharded` is that plain refresh re-cut. A
+  :class:`~repro.serve.shard.ShardedSnapshot` is the snapshot it was cut
+  from, so its records are patched as :func:`apply_patches` patches them
+  (one canonical sort, one global fingerprint, no merge of the shards),
+  then :func:`~repro.serve.shard.partition_snapshot` cuts the result
+  with its own bucketing, building **only the shards the patches route
+  to** and reusing every other shard as the same object. So the
+  refreshed set's records and fingerprint are, by construction, those of
+  ``apply_patches(sharded, patches)``, and each shard holds the records,
+  so the fingerprint, that a from-scratch cut gives it. Every unchanged
+  record passes on as the same object, so a
   downstream :class:`~repro.serve.shard.ShardedEngine` built with
   ``reuse_from`` patches its index with the changed records only.
   Records are frozen and keep their canonical strings, so each digest
@@ -28,8 +29,9 @@ applies it to a serving snapshot without rebuilding the world:
   :func:`~repro.serve.shard.write_sharded_snapshot`: shard files are
   content-named, so it writes only the touched shards' files and
   commits by replacing the manifest.
-- :func:`refresh_differential` is the proof harness: the incrementally
-  refreshed snapshot must fingerprint-equal a from-scratch
+- :func:`refresh_differential` is the proof harness: the fingerprint
+  re-derived from the incrementally refreshed snapshot's records, sharded
+  or not, must equal the one it carries and that of a from-scratch
   ``snapshot_from_cache`` rebuild over the same warm cache.
 
 Untouched shards keep the provenance they were originally cut with
@@ -47,7 +49,6 @@ from repro.errors import IngestError
 from repro.pipeline.records import DomainAnnotations
 from repro.serve.shard import (
     ShardedSnapshot,
-    merged_snapshot,
     partition_snapshot,
     shard_for_domain,
     verify_sharded,
@@ -142,21 +143,22 @@ def touched_shards(patches: list[RecordPatch],
 
 def apply_patches_sharded(sharded: ShardedSnapshot,
                           patches: list[RecordPatch]) -> RefreshResult:
-    """The plain refresh re-cut: patch the merged records, rebuild only
-    the shards the patches route to.
+    """The plain refresh re-cut: patch the snapshot's records, rebuild
+    only the shards the patches route to.
 
-    The merged records are patched, canonicalized and fingerprinted once,
-    as :func:`apply_patches` does; ``partition_snapshot`` then buckets
-    them and builds the touched shards, reusing every untouched shard
-    snapshot as the same object. A removal of an absent domain raises an
-    :class:`~repro.errors.IngestError` naming the domain's shard.
+    ``sharded`` is patched, canonicalized and fingerprinted once, as
+    :func:`apply_patches` patches a plain snapshot; ``partition_snapshot``
+    then buckets the result and builds the touched shards, reusing every
+    untouched shard snapshot as the same object. A removal of an absent
+    domain raises an :class:`~repro.errors.IngestError` naming the
+    domain's shard.
     """
     if not patches:
         return RefreshResult(sharded=sharded, touched=())
     count = sharded.shard_count
     touched = touched_shards(patches, count)
     refreshed = _patched(
-        merged_snapshot(sharded), patches,
+        sharded, patches,
         lambda domain: f"shard {shard_for_domain(domain, count)}")
     kept = {index: shard for index, shard in enumerate(sharded.shards)
             if index not in touched}
@@ -170,23 +172,18 @@ def refresh_differential(corpus, options, cache, refreshed, *,
     """The differential proof: incremental refresh ≡ from-scratch build.
 
     Rebuilds a snapshot straight from the warm cache (the ground truth a
-    full pipeline re-run would checkpoint) and compares fingerprints with
-    the incrementally refreshed snapshot — sharded sets are additionally
-    checked through their merged record stream. Returns a JSON-ready
+    full pipeline re-run would checkpoint), re-derives the fingerprint of
+    the incrementally refreshed snapshot's records (sharded or not), and
+    compares both with the fingerprint it carries. Returns a JSON-ready
     verdict payload; ``identical`` is the acceptance bit.
     """
     rebuilt = snapshot_from_cache(corpus, options, cache, domains=domains)
-    if isinstance(refreshed, ShardedSnapshot):
-        incremental = refreshed.fingerprint
-        merged = snapshot_fingerprint(refreshed.records())
-    else:
-        incremental = refreshed.fingerprint
-        merged = incremental
+    derived = snapshot_fingerprint(list(refreshed.records))
     return {
-        "incremental_fingerprint": incremental,
-        "merged_fingerprint": merged,
+        "incremental_fingerprint": refreshed.fingerprint,
+        "merged_fingerprint": derived,
         "rebuild_fingerprint": rebuilt.fingerprint,
-        "identical": incremental == merged == rebuilt.fingerprint,
+        "identical": refreshed.fingerprint == derived == rebuilt.fingerprint,
     }
 
 

@@ -340,14 +340,7 @@ class PipelineCache:
         ``layer`` is ``"all"``, ``"records"`` (drop final results but keep
         crawls, forcing re-annotation only), or ``"crawl"``.
         """
-        removed = 0
-        for path in list(self._entries(layer)):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
+        return self.prune((), layer)
 
     def prune(self, live_keys, layer: str = "all") -> int:
         """Compaction: drop every entry whose key is not in ``live_keys``.

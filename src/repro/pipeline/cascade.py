@@ -60,9 +60,9 @@ from dataclasses import dataclass, replace
 
 from repro._util.artifacts import content_digest
 from repro.chatbot.engine import (
-    AnnotationEngine,
-    _ENUM_SPLIT_RE,
     _in_ranges,
+    lexicon_matches,
+    novel_enumeration_items,
     trigger_contexts,
     trigger_spans,
 )
@@ -241,17 +241,6 @@ class LineVerdict:
     sensitive: bool = False
 
 
-def _learned_matches(analysis, annotator: DistilledAnnotator,
-                     taxonomy_name: str):
-    key = ("cascade-matches", taxonomy_name)
-    cached = analysis.memo.get(key)
-    if cached is None:
-        matcher = annotator.matcher_for(taxonomy_name)
-        cached = tuple(matcher.find_all(analysis.text, analysis.tokens))
-        analysis.memo[key] = cached
-    return cached
-
-
 def taxonomy_verdict(analysis, annotator: DistilledAnnotator,
                      taxonomy_name: str, honors_negation: bool) -> LineVerdict:
     """Fast-path extraction + confidence for one line of one taxonomy."""
@@ -271,7 +260,8 @@ def taxonomy_verdict(analysis, annotator: DistilledAnnotator,
     confidence = 1.0
     items: list[tuple[str, str, str]] = []
     covered: list[tuple[int, int]] = []
-    for match in _learned_matches(analysis, annotator, taxonomy_name):
+    for match in lexicon_matches(analysis, "cascade-matches",
+                                 annotator.matcher_for, taxonomy_name):
         if not _in_ranges(contexts, match.char_start, match.char_end):
             continue
         entry = match.payload
@@ -283,45 +273,16 @@ def taxonomy_verdict(analysis, annotator: DistilledAnnotator,
         items.append((match.verbatim(text), entry.category, entry.descriptor))
     if not covered:
         confidence = NO_MATCH_CONFIDENCE
-    elif _enumeration_gap(analysis, taxonomy_name, covered):
+    elif next(novel_enumeration_items(
+            text, trigger_spans(analysis, taxonomy_name), covered), None):
+        # The engine's novel-term extractor, with the learned matches as
+        # the covered set, would fire: a phrase the fast path cannot
+        # name, so the segment escalates.
         confidence = min(confidence, NOVEL_GAP_CONFIDENCE)
     verdict = LineVerdict(items=tuple(items), confidence=confidence,
                           sensitive=bool(scopes))
     analysis.memo[key] = verdict
     return verdict
-
-
-def _enumeration_gap(analysis, taxonomy_name: str, covered) -> bool:
-    """Would the engine's novel-term extractor fire outside our matches?
-
-    Walks enumerations exactly like
-    :meth:`AnnotationEngine._novel_mentions`, with the learned matches as
-    the covered set: any surviving candidate is a phrase the fast path
-    cannot name, so the segment escalates.
-    """
-    text = analysis.text
-    for _, trigger_end in trigger_spans(analysis, taxonomy_name):
-        end = text.find(".", trigger_end)
-        end = end if end != -1 else len(text)
-        if not any(trigger_end <= c_start < end for c_start, _ in covered):
-            continue
-        segment_text = text[trigger_end:end]
-        pos = 0
-        pieces: list[tuple[int, str]] = []
-        for sep in _ENUM_SPLIT_RE.finditer(segment_text):
-            pieces.append((pos, segment_text[pos:sep.start()]))
-            pos = sep.end()
-        pieces.append((pos, segment_text[pos:]))
-        for rel_start, raw in pieces:
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            seg_start = (trigger_end + rel_start
-                         + (len(raw) - len(raw.lstrip())))
-            if AnnotationEngine._novel_candidate(text, stripped, seg_start,
-                                                 covered) is not None:
-                return True
-    return False
 
 
 def _practice_scores(analysis, annotator: DistilledAnnotator):

@@ -453,7 +453,7 @@ def merge_outcomes(outcomes: list[ShardOutcome],
 def crawl_domains(internet: SimulatedInternet, domains: list[str],
                   executor: ExecutorOptions | None = None,
                   progress=None, **browser_kwargs) -> dict[str, CrawlResult]:
-    """Parallel counterpart to :func:`repro.crawler.crawler.crawl_all`.
+    """Crawl a list of domains; returns results keyed by domain.
 
     Crawls only (no annotation), sharded across a thread pool with one
     browser per shard; extra keyword arguments configure each worker's

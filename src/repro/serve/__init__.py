@@ -18,9 +18,10 @@ interactive latency, offline-benchmarkable at production shape:
 6. :mod:`repro.serve.chaos` — deterministic fault injection with
    shed-never-stall / never-a-wrong-byte / recover invariants checked
    against a fault-free oracle.
-7. :mod:`repro.serve.shard` — hash-partitioned snapshots, served from
-   one index of their merged records (shards are only a storage layout),
-   so sharded answers are byte-identical to the single-index engine.
+7. :mod:`repro.serve.shard` — hash-partitioned snapshots, each still
+   the snapshot it was cut from and served from one index of its records
+   (shards are only a storage layout), so sharded answers are
+   byte-identical to the single-index engine.
 8. :mod:`repro.serve.aserver` — asyncio front end with API-key tenancy
    and per-tenant admission control.
 """
@@ -93,9 +94,7 @@ from repro.serve.shard import (
     SHARDED_SCHEMA_VERSION,
     ShardedEngine,
     ShardedSnapshot,
-    engine_for,
     load_sharded_snapshot,
-    merged_snapshot,
     partition_snapshot,
     shard_for_domain,
     write_sharded_snapshot,
@@ -120,9 +119,7 @@ __all__ = [
     "SHARDED_SCHEMA_VERSION",
     "ShardedEngine",
     "ShardedSnapshot",
-    "engine_for",
     "load_sharded_snapshot",
-    "merged_snapshot",
     "partition_snapshot",
     "shard_for_domain",
     "write_sharded_snapshot",

@@ -43,8 +43,10 @@ were replaced and adds those of the new records, so only the new records
 are compiled and rule-checked and a swap costs the records that changed,
 not the corpus. :meth:`CorpusIndex.build` is the same patch applied to
 an empty index, which makes the patched index equal to a cold build
-field for field. A sharded corpus is indexed the same way over its
-merged record stream; shards are only its storage layout.
+field for field. A sharded snapshot is indexed the same way over its
+records; shards are only its storage layout. The index keeps the
+snapshot's fingerprint, not the snapshot, so a sharded generation's
+index equals a cold build over the plain snapshot field for field.
 """
 
 from __future__ import annotations
@@ -279,7 +281,9 @@ class _Writer:
 class CorpusIndex:
     """All lookup structures for one snapshot; read-only once built."""
 
-    snapshot: CorpusSnapshot
+    #: The served snapshot's content fingerprint — the id the hot cache
+    #: keys an answer over the whole corpus by.
+    fingerprint: str
     by_domain: dict[str, DomainAnnotations] = field(default_factory=dict)
     domains_by_sector: dict[str, list[str]] = field(default_factory=dict)
     domains_by_status: dict[str, list[str]] = field(default_factory=dict)
@@ -335,19 +339,13 @@ class CorpusIndex:
     #: hot-result cache keys a sector-scoped answer by it.
     sector_digests: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def fingerprint(self) -> str:
-        """The served snapshot's content fingerprint — the id the hot
-        cache keys an answer over the whole corpus by."""
-        return self.snapshot.fingerprint
-
     # -- construction ----------------------------------------------------
 
     @classmethod
     def build(cls, snapshot: CorpusSnapshot) -> "CorpusIndex":
         """Every lookup structure over ``snapshot``: the patch of an empty
         index by every record."""
-        empty = cls(snapshot=snapshot, **{
+        empty = cls(fingerprint=snapshot.fingerprint, **{
             name: {facet: make() for facet in FACETS}
             for name, make in _FACETED.items()})
         return cls.patched(empty, snapshot)
@@ -374,7 +372,8 @@ class CorpusIndex:
         removed = sorted((old.keys() - map(_DOMAIN, snapshot.records))
                          | {record.domain for record in added
                             if record.domain in old})
-        index = dataclasses.replace(previous, snapshot=snapshot)
+        index = dataclasses.replace(previous,
+                                    fingerprint=snapshot.fingerprint)
         writer = _Writer(index)
         by_domain = writer.writable(("by_domain",))
         forms = list(previous.logical_forms)
@@ -507,7 +506,7 @@ class CorpusIndex:
                 for row in sorted(kinds)}
         summary = partials.get("summary", Counter())
         aggregates["summary"] = {
-            "fingerprint": self.snapshot.fingerprint,
+            "fingerprint": self.fingerprint,
             "domains": len(self.by_domain),
             "statuses": {status: len(domains) for status, domains
                          in sorted(self.domains_by_status.items())},

@@ -36,6 +36,7 @@ from repro.serve.query import (
     FacetFilter,
     PredicateQuery,
     Query,
+    QueryEngine,
     SectorAggregate,
     TableAggregate,
     TopDescriptors,
@@ -48,7 +49,6 @@ from repro.serve.server import (
     AnnotationServer,
     percentile,
 )
-from repro.serve.shard import engine_for
 
 _ASPECTS = ("types", "purposes", "handling", "rights")
 
@@ -245,11 +245,11 @@ def load_tally(name: str) -> property:
 def oracle_answers(snapshot, workload: list[Query]) -> list[tuple[str, str]]:
     """The fault-free ``(status, body)`` of every request, positionally.
 
-    A plain engine over ``snapshot`` — no server, no cache — is the
-    ground truth; a query it rejects is answered ``(error, message)``,
-    exactly as the server answers it.
+    A plain single-index engine over ``snapshot`` (sharded or not) — no
+    server, no cache — is the ground truth; a query it rejects is
+    answered ``(error, message)``, exactly as the server answers it.
     """
-    engine = engine_for(snapshot)
+    engine = QueryEngine(CorpusIndex.build(snapshot))
     answers: list[tuple[str, str]] = []
     for query in workload:
         try:

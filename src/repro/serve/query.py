@@ -37,7 +37,7 @@ deterministic: the same query against the same records always yields
 the same :class:`QueryResult`, whose :meth:`QueryResult.to_json` is
 byte-stable.
 :class:`QueryEngine` is the only executor: a sharded snapshot is served
-by the same handlers over one index of its merged records.
+by the same handlers over one index of its records.
 """
 
 from __future__ import annotations
@@ -346,7 +346,7 @@ class QueryEngine:
 
     The one query path for both snapshot shapes: a sharded deployment
     (:class:`repro.serve.shard.ShardedEngine`) runs these same handlers
-    over one ``CorpusIndex`` of its merged records, built or patched
+    over one ``CorpusIndex`` of its snapshot's records, built or patched
     (:meth:`CorpusIndex.patched`) exactly as an unsharded one is.
     """
 

@@ -33,13 +33,16 @@ mutable query state, and the index itself is read-only after build, so
 any worker count serves byte-identical bodies.
 
 **Sharded serving.** With ``ServerConfig.shards > 1`` (or an
-already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`) the
-server executes through :class:`~repro.serve.shard.ShardedEngine`, whose
-index is the one ``CorpusIndex`` of the merged records, so
-``server.index`` is a ``CorpusIndex`` either way and shards are only a
-storage layout. It counts each domain lookup against the shard that
-holds its domain (``serve.shard.<i>.queries``); every other kind reads
-the one index, and its ``serve.<kind>.requests`` already counts it.
+already-partitioned :class:`~repro.serve.shard.ShardedSnapshot`, which
+is the snapshot it was cut from plus its shards) the server executes
+through :class:`~repro.serve.shard.ShardedEngine`, whose index is the one
+``CorpusIndex`` of the snapshot's records, so ``server.index`` is a
+``CorpusIndex`` either way and shards are only a storage layout.
+:func:`_build_generation` is the one place that picks the engine class;
+the shards add only counters. It counts each domain lookup against the
+shard that holds its domain (``serve.shard.<i>.queries``) and each
+swap's reused and rebuilt shards; every other kind reads the one index,
+and its ``serve.<kind>.requests`` already counts it.
 
 **Fault seams.** The server exposes explicit, documented seams for the
 chaos harness (:mod:`repro.serve.chaos`) rather than relying on
@@ -103,9 +106,10 @@ from dataclasses import dataclass
 
 from repro._util.profiling import StageTimings
 from repro.errors import QueryError, ServeError
-from repro.serve.query import RECORD, Query, query_fingerprint, \
-    query_kind, query_scope
-from repro.serve.shard import ShardedSnapshot, engine_for, \
+from repro.serve.index import CorpusIndex
+from repro.serve.query import RECORD, Query, QueryEngine, \
+    query_fingerprint, query_kind, query_scope
+from repro.serve.shard import ShardedEngine, ShardedSnapshot, \
     partition_snapshot
 from repro.serve.snapshot import CorpusSnapshot
 
@@ -133,7 +137,7 @@ class ServerConfig:
     max_latency_samples: int = 100_000
     #: Index shards; >1 partitions the snapshot by domain hash and serves
     #: it through :class:`~repro.serve.shard.ShardedEngine`, over one
-    #: index of the merged records (byte-identical to the unsharded
+    #: index of the snapshot's records (byte-identical to the unsharded
     #: server; the shards only lay out storage and count routed reads).
     #: Ignored when the server is handed an already-partitioned
     #: ShardedSnapshot.
@@ -398,7 +402,7 @@ class _Generation:
     old generation alive until its last in-flight request resolves.
     """
 
-    snapshot: object          # CorpusSnapshot | ShardedSnapshot (as given)
+    snapshot: CorpusSnapshot  # as given; a ShardedSnapshot is one too
     sharded: "ShardedSnapshot | None"
     engine: object            # QueryEngine | ShardedEngine
     fingerprint: str
@@ -470,15 +474,21 @@ def _build_generation(snapshot, config: ServerConfig,
     the old engine's, sharded or not: only the records that changed are
     re-indexed.
     """
-    served = snapshot
-    if not isinstance(snapshot, ShardedSnapshot) and config.shards > 1:
-        served = partition_snapshot(snapshot, config.shards)
-    sharded = served if isinstance(served, ShardedSnapshot) else None
+    sharded = snapshot if isinstance(snapshot, ShardedSnapshot) else None
+    if sharded is None and config.shards > 1:
+        sharded = partition_snapshot(snapshot, config.shards)
+    previous = reuse and reuse.engine
+    # The one place that picks ShardedEngine: its shards count routed
+    # reads and reused shards over the same one index.
+    engine = (ShardedEngine(sharded, reuse_from=previous)
+              if sharded is not None else
+              QueryEngine(CorpusIndex.patched(previous and previous.index,
+                                              snapshot)))
     return _Generation(
         snapshot=snapshot,
         sharded=sharded,
-        engine=engine_for(served, reuse_from=reuse and reuse.engine),
-        fingerprint=served.fingerprint,
+        engine=engine,
+        fingerprint=snapshot.fingerprint,
         shard_counters=tuple(
             f"serve.shard.{i}.queries"
             for i in range(sharded.shard_count if sharded else 0)))
@@ -487,8 +497,8 @@ def _build_generation(snapshot, config: ServerConfig,
 def _shard_counters(gen: _Generation, query: Query) -> tuple[str, ...]:
     """The counter of the shard a domain lookup reads on a sharded
     generation, else none: every other kind reads the one index of the
-    merged records, and its ``serve.<kind>.requests`` already counts
-    it."""
+    snapshot's records, and its ``serve.<kind>.requests`` already
+    counts it."""
     if not gen.shard_counters:
         return ()
     shard = gen.engine.route(query)
@@ -518,7 +528,7 @@ class AnnotationServer:
     request path byte-identical to a seamless server.
     """
 
-    def __init__(self, snapshot: "CorpusSnapshot | ShardedSnapshot",
+    def __init__(self, snapshot: CorpusSnapshot,
                  config: ServerConfig | None = None,
                  clock=time.monotonic, fault_injector=None):
         self.config = config or ServerConfig()

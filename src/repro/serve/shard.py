@@ -2,8 +2,12 @@
 
 Horizontal structure for the serving layer: a :class:`CorpusSnapshot`
 is partitioned by **domain hash** into N independently-loadable shards.
-Shards are the unit of files, refresh and verification; they are only a
-storage layout for serving, which indexes the merged record stream once:
+A :class:`ShardedSnapshot` *is* the snapshot it was cut from — a
+:class:`CorpusSnapshot` subclass holding its records, fingerprint,
+source and provenance — plus the shard snapshots, so every reader of a
+snapshot reads a shard set as it is. Shards are the unit of files,
+refresh and verification; they are only a storage layout for serving,
+which indexes the snapshot's records once:
 
 - **Routing.** ``shard_for_domain`` is a stable SHA-256 placement (never
   Python's randomized ``hash``), so a domain's shard is a pure function
@@ -13,7 +17,7 @@ storage layout for serving, which indexes the merged record stream once:
   shard a ``DomainLookup`` reads, for per-shard traffic counters.
 - **One index.** :class:`ShardedEngine` is a
   :class:`~repro.serve.query.QueryEngine` over one
-  :class:`~repro.serve.index.CorpusIndex` of the merged snapshot, so
+  :class:`~repro.serve.index.CorpusIndex` of the snapshot's records, so
   every query class runs through the one engine and its answers are
   byte-identical to the unsharded engine by construction.
 - **Patched swaps.** Given the previous generation's engine
@@ -30,12 +34,15 @@ content fingerprint (``shard-0003-<fingerprint>.snap.json``).
 files not yet present, replaces the manifest last (the one commit
 point), then deletes the files the manifest no longer names, so a crash
 at any point leaves the previous generation or the new one.
-:func:`verify_sharded` is the one verifier, which every load runs:
-shard fingerprints, the routing invariant (each domain lives in its
-hash-assigned shard), and the recomputed global fingerprint — a torn,
-reordered, or misassembled shard set is rejected, never served. An
-in-memory refresh re-derives nothing: it is the plain refresh re-cut by
-:func:`partition_snapshot` (:mod:`repro.ingest.refresh`).
+:func:`load_sharded_snapshot` rebuilds the snapshot's records by the
+one k-way merge of the shards, and :func:`verify_sharded` is the one
+verifier, which every load runs: shard fingerprints, the routing
+invariant (each domain lives in its hash-assigned shard), that the
+shards hold exactly the snapshot's records, and the recomputed global
+fingerprint — a torn, reordered, or misassembled shard set is rejected,
+never served. An in-memory refresh merges and re-derives nothing: it is
+the plain refresh re-cut by :func:`partition_snapshot`
+(:mod:`repro.ingest.refresh`).
 """
 
 from __future__ import annotations
@@ -87,30 +94,29 @@ def shard_for_domain(domain: str, shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ShardedSnapshot:
-    """N per-shard snapshots plus the global corpus fingerprint.
+class ShardedSnapshot(CorpusSnapshot):
+    """A snapshot together with the N per-shard snapshots cut from it.
 
-    ``fingerprint`` is the fingerprint of the *unsharded* snapshot the
-    shards were cut from — the content id query answers are keyed by —
-    so re-sharding the same corpus at a different N never moves it.
+    It *is* the snapshot the shards were cut from: its records, its
+    ``fingerprint`` (the content id query answers are keyed by, so
+    re-sharding the same corpus at a different N never moves it), its
+    source and provenance. Every reader of a :class:`CorpusSnapshot`
+    reads a shard set as it is; only ``shards`` is added.
     """
 
-    shards: tuple[CorpusSnapshot, ...]
-    fingerprint: str
-    source: str = "records"
-    provenance: dict = field(default_factory=dict)
+    shards: tuple[CorpusSnapshot, ...] = field(kw_only=True)
 
     @property
     def shard_count(self) -> int:
         return len(self.shards)
 
-    def domain_count(self) -> int:
-        return sum(s.domain_count() for s in self.shards)
 
-    def records(self) -> list[DomainAnnotations]:
-        """All records, in global canonical (domain-sorted) order."""
-        return list(heapq.merge(*(s.records for s in self.shards),
-                                key=_DOMAIN_KEY))
+def _buckets(records, shards: int) -> list[list[DomainAnnotations]]:
+    """``records`` grouped by the shard each domain hashes to, in order."""
+    buckets: list[list[DomainAnnotations]] = [[] for _ in range(shards)]
+    for record in records:
+        buckets[shard_for_domain(record.domain, shards)].append(record)
+    return buckets
 
 
 def partition_snapshot(snapshot: CorpusSnapshot, shards: int, *,
@@ -118,19 +124,18 @@ def partition_snapshot(snapshot: CorpusSnapshot, shards: int, *,
                        ) -> ShardedSnapshot:
     """Cut one snapshot into N hash-routed shard snapshots.
 
-    Each shard is a full-fledged verified snapshot (its own fingerprint
-    over its own records); shard provenance records the placement so a
-    shard file found on disk is self-describing. ``reuse`` maps shard
-    indexes to shard snapshots that already hold the records ``snapshot``
-    routes there; those are kept as the same objects, not built again (a
-    delta refresh passes the shards its patches do not touch).
+    The result keeps ``snapshot``'s records tuple, fingerprint, source
+    and provenance. Each shard is a full-fledged verified snapshot (its
+    own fingerprint over its own records); shard provenance records the
+    placement so a shard file found on disk is self-describing. ``reuse``
+    maps shard indexes to shard snapshots that already hold the records
+    ``snapshot`` routes there; those are kept as the same objects, not
+    built again (a delta refresh passes the shards its patches do not
+    touch).
     """
     if shards < 1:
         raise SnapshotError(f"shard count must be >= 1, got {shards}")
     reuse = reuse or {}
-    buckets: list[list[DomainAnnotations]] = [[] for _ in range(shards)]
-    for record in snapshot.records:
-        buckets[shard_for_domain(record.domain, shards)].append(record)
     shard_snapshots = tuple(
         reuse[index] if index in reuse else
         build_snapshot(bucket, source=snapshot.source,
@@ -138,25 +143,12 @@ def partition_snapshot(snapshot: CorpusSnapshot, shards: int, *,
                                    "shard": index, "shards": shards,
                                    "corpus_fingerprint":
                                        snapshot.fingerprint})
-        for index, bucket in enumerate(buckets))
-    return ShardedSnapshot(shards=shard_snapshots,
+        for index, bucket in enumerate(_buckets(snapshot.records, shards)))
+    return ShardedSnapshot(records=snapshot.records,
                            fingerprint=snapshot.fingerprint,
                            source=snapshot.source,
-                           provenance=dict(snapshot.provenance))
-
-
-def merged_snapshot(sharded: ShardedSnapshot) -> CorpusSnapshot:
-    """Reassemble the single-index snapshot a shard set was cut from.
-
-    The merged stream is already canonical (each shard is domain-sorted
-    and deduplicated, and shards share no domain), and
-    ``sharded.fingerprint`` is by construction its fingerprint, so
-    nothing is re-serialized or re-hashed here.
-    """
-    return CorpusSnapshot(records=tuple(sharded.records()),
-                          fingerprint=sharded.fingerprint,
-                          source=sharded.source,
-                          provenance=dict(sharded.provenance))
+                           provenance=dict(snapshot.provenance),
+                           shards=shard_snapshots)
 
 
 # -- disk layout ---------------------------------------------------------
@@ -218,8 +210,9 @@ def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
     ``schema-mismatch``/``missing-shards``), each shard file (all the
     single-snapshot reasons, plus ``shard-fingerprint-mismatch`` against
     the manifest), then :func:`verify_sharded` for the routing invariant
-    (``shard-misrouted``) and the global fingerprint over the merged
-    record stream (``fingerprint-mismatch``).
+    (``shard-misrouted``) and the global fingerprint
+    (``fingerprint-mismatch``) over the snapshot's records, which are the
+    k-way merge of the shards' records.
     """
     directory = Path(directory)
     manifest_path = directory / MANIFEST_NAME
@@ -267,28 +260,33 @@ def load_sharded_snapshot(directory: str | Path) -> ShardedSnapshot:
                 f"{str(entry.get('fingerprint'))[:12]}…",
                 reason="shard-fingerprint-mismatch")
         shards.append(shard)
+    # The one k-way merge: each shard is domain-sorted, and shards that
+    # pass the routing check share no domain.
     sharded = ShardedSnapshot(
-        shards=tuple(shards), fingerprint=str(manifest.get("fingerprint")),
+        records=tuple(heapq.merge(*(s.records for s in shards),
+                                  key=_DOMAIN_KEY)),
+        fingerprint=str(manifest.get("fingerprint")),
         source=str(manifest.get("source", "records")),
-        provenance=dict(manifest.get("provenance") or {}))
+        provenance=dict(manifest.get("provenance") or {}),
+        shards=tuple(shards))
     # ``load_snapshot`` has just re-derived every shard's fingerprint.
     verify_sharded(sharded, shards=())
     return sharded
 
 
 def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
-    """Re-verify a shard set: shard fingerprints, routing, global
-    fingerprint.
+    """Re-verify a shard set: shard fingerprints, routing, the records
+    the shards hold, global fingerprint.
 
     Re-derives the fingerprint of each selected shard (every shard by
     default; a load passes none, since each file was verified as it was
     read), checks that every record of every shard sits on the shard its
-    domain hashes to, and re-derives the global fingerprint over the
-    merged record stream. Reasons:
-    ``shard-fingerprint-mismatch``, ``shard-misrouted`` and
-    ``fingerprint-mismatch``.
+    domain hashes to and that the shards hold exactly the snapshot's
+    records, and re-derives the global fingerprint over those records.
+    Reasons: ``shard-fingerprint-mismatch``, ``shard-misrouted``,
+    ``shard-records-mismatch`` and ``fingerprint-mismatch``.
     """
-    count = len(sharded.shards)
+    count = sharded.shard_count
     selected = range(count) if shards is None else sorted(set(shards))
     for index in selected:
         shard = sharded.shards[index]
@@ -307,12 +305,20 @@ def verify_sharded(sharded: ShardedSnapshot, *, shards=None) -> None:
                     f"hashes to shard {assigned} of {count} — the shard "
                     f"set was misassembled or cut at a different shard "
                     f"count", reason="shard-misrouted")
-    actual = snapshot_fingerprint(sharded.records())
+    for index, (shard, bucket) in enumerate(
+            zip(sharded.shards, _buckets(sharded.records, count))):
+        if shard.records != tuple(bucket):
+            raise SnapshotError(
+                f"shard {index} does not hold the records the snapshot "
+                f"routes to it ({shard.domain_count()} held, "
+                f"{len(bucket)} routed) — the shards were cut from other "
+                f"records", reason="shard-records-mismatch")
+    actual = snapshot_fingerprint(list(sharded.records))
     if actual != sharded.fingerprint:
         raise SnapshotError(
             f"sharded snapshot carries global fingerprint "
-            f"{sharded.fingerprint[:12]}… but its merged records "
-            f"fingerprint {actual[:12]}…", reason="fingerprint-mismatch")
+            f"{sharded.fingerprint[:12]}… but its records fingerprint "
+            f"{actual[:12]}…", reason="fingerprint-mismatch")
 
 
 # -- sharded engine -------------------------------------------------------
@@ -322,10 +328,10 @@ class ShardedEngine(QueryEngine):
     """A :class:`~repro.serve.query.QueryEngine` over a shard set.
 
     ``index`` is one :class:`~repro.serve.index.CorpusIndex` over the
-    merged snapshot, so ``execute`` is byte-identical to
-    ``QueryEngine(CorpusIndex.build(snapshot)).execute`` for every query
+    snapshot's records, so ``execute`` is byte-identical to
+    ``QueryEngine(CorpusIndex.build(sharded)).execute`` for every query
     class — the differential suite and ``bench_serve_sharded`` hold it to
-    that.
+    that. The shards add the routed-shard counters and ``reused_shards``.
 
     ``reuse_from`` is the live-swap seam: pass the engine serving the
     *previous* generation (sharded or not) and the index is patched from
@@ -342,7 +348,7 @@ class ShardedEngine(QueryEngine):
         served = set(getattr(reuse_from, "shard_fingerprints", ()))
         self.reused_shards = sum(f in served for f in self.shard_fingerprints)
         super().__init__(CorpusIndex.patched(
-            reuse_from and reuse_from.index, merged_snapshot(sharded)))
+            reuse_from and reuse_from.index, sharded))
 
     @property
     def shard_count(self) -> int:
@@ -356,27 +362,12 @@ class ShardedEngine(QueryEngine):
         return None
 
 
-def engine_for(snapshot: "CorpusSnapshot | ShardedSnapshot",
-               reuse_from: "QueryEngine | None" = None):
-    """Query engine for either snapshot shape; answers are byte-identical.
-
-    ``reuse_from`` is the engine serving the previous generation, of
-    either shape: the new index is patched from its index.
-    """
-    if isinstance(snapshot, ShardedSnapshot):
-        return ShardedEngine(snapshot, reuse_from=reuse_from)
-    return QueryEngine(CorpusIndex.patched(reuse_from and reuse_from.index,
-                                           snapshot))
-
-
 __all__ = [
     "MANIFEST_NAME",
     "SHARDED_SCHEMA_VERSION",
     "ShardedEngine",
     "ShardedSnapshot",
-    "engine_for",
     "load_sharded_snapshot",
-    "merged_snapshot",
     "partition_snapshot",
     "shard_for_domain",
     "verify_sharded",

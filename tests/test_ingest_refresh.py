@@ -7,24 +7,27 @@ import json
 
 import pytest
 
+from repro.corpus import CorpusConfig, build_corpus
 from repro.errors import IngestError, SnapshotError
 from repro.ingest import (
     RecordPatch,
     apply_patches,
     apply_patches_sharded,
+    refresh_differential,
     touched_shards,
     verify_sharded,
 )
+from repro.pipeline import PipelineCache, PipelineOptions, run_pipeline
 from repro.pipeline.records import DomainAnnotations, TypeAnnotation
 from repro.serve import (
     DomainLookup,
     SectorAggregate,
     ShardedEngine,
-    ShardedSnapshot,
     build_snapshot,
     load_sharded_snapshot,
     partition_snapshot,
     shard_for_domain,
+    snapshot_from_cache,
     write_sharded_snapshot,
 )
 
@@ -132,7 +135,7 @@ class TestApplyPatchesSharded:
         result = apply_patches_sharded(sharded, patches)
         plain = apply_patches(snapshot, patches)
         assert result.sharded.fingerprint == plain.fingerprint
-        assert result.sharded.records() == list(plain.records)
+        assert result.sharded.records == plain.records
         scratch = partition_snapshot(plain, 4)
         assert [s.fingerprint for s in result.sharded.shards] == \
             [s.fingerprint for s in scratch.shards]
@@ -176,12 +179,26 @@ class TestVerifySharded:
         stray = next(r for r in sharded.shards[1].records
                      if shard_for_domain(r.domain, 3) == 1)
         moved = build_snapshot(list(sharded.shards[0].records) + [stray])
-        bad = ShardedSnapshot(
-            shards=(moved,) + sharded.shards[1:],
-            fingerprint=sharded.fingerprint)
+        bad = dataclasses.replace(sharded,
+                                  shards=(moved,) + sharded.shards[1:])
         with pytest.raises(SnapshotError) as excinfo:
             verify_sharded(bad)
         assert excinfo.value.reason == "shard-misrouted"
+
+    @pytest.mark.parametrize("patch", [
+        RecordPatch.remove("site3.com"),
+        RecordPatch.upsert("site3.com",
+                           _record("site3.com", verbatim="edited"))])
+    def test_shards_holding_other_records_detected(self, patch):
+        """Shards cut from other records: each shard verifies and routes,
+        and the records verify against the fingerprint, but the shards
+        do not hold them."""
+        sharded = partition_snapshot(_snapshot(10), 3)
+        other = partition_snapshot(apply_patches(sharded, [patch]), 3)
+        bad = dataclasses.replace(sharded, shards=other.shards)
+        with pytest.raises(SnapshotError) as excinfo:
+            verify_sharded(bad)
+        assert excinfo.value.reason == "shard-records-mismatch"
 
     def test_scoped_verify_skips_unselected_shards(self):
         sharded = partition_snapshot(_snapshot(10), 3)
@@ -192,6 +209,39 @@ class TestVerifySharded:
         verify_sharded(bad, shards=[1, 2])  # shard 0's lie not inspected
         with pytest.raises(SnapshotError):
             verify_sharded(bad, shards=[0])
+
+
+class TestRefreshDifferential:
+    """The differential re-derives the refreshed snapshot's fingerprint
+    from its records, sharded or not, and compares it with the one the
+    snapshot carries and with a from-scratch rebuild."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, tmp_path_factory):
+        corpus = build_corpus(CorpusConfig(seed=3, fraction=0.01))
+        cache = PipelineCache(tmp_path_factory.mktemp("differential"))
+        run_pipeline(corpus, PipelineOptions(), cache=cache)
+        return corpus, cache
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_tampered_record_under_the_rebuild_fingerprint(self, warm,
+                                                           shards):
+        """One record tampered under the rebuild's fingerprint is caught
+        in a plain snapshot as in a shard set."""
+        corpus, cache = warm
+        options = PipelineOptions()
+        rebuilt = snapshot_from_cache(corpus, options, cache)
+        tampered = dataclasses.replace(rebuilt.records[0], sector="XX")
+        for records, identical in (
+                (rebuilt.records, True),
+                ((tampered,) + rebuilt.records[1:], False)):
+            snapshot = dataclasses.replace(rebuilt, records=records)
+            if shards > 1:
+                snapshot = partition_snapshot(snapshot, shards)
+            verdict = refresh_differential(corpus, options, cache, snapshot)
+            assert verdict["incremental_fingerprint"] == \
+                verdict["rebuild_fingerprint"]
+            assert verdict["identical"] is identical, verdict
 
 
 class TestWriteShardedRefresh:
@@ -227,7 +277,7 @@ class TestWriteShardedRefresh:
         write_sharded_snapshot(result.sharded, directory)
         loaded = load_sharded_snapshot(directory)
         assert loaded.fingerprint == result.sharded.fingerprint
-        assert loaded.records() == result.sharded.records()
+        assert loaded.records == result.sharded.records
 
     def test_cold_directory_writes_everything(self, tmp_path):
         sharded = partition_snapshot(_snapshot(8), 3)

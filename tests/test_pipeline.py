@@ -186,13 +186,12 @@ class TestHallucinationVerifier:
 
     def test_index_backed_path_equivalent(self):
         from repro.corpus import CorpusConfig, build_corpus
-        from repro.crawler import crawl_all
-        from repro.pipeline import DocumentIndex, preprocess_crawl
-        from repro.web.browser import Browser
+        from repro.pipeline import DocumentIndex, ExecutorOptions, \
+            crawl_domains, preprocess_crawl
 
         corpus = build_corpus(CorpusConfig(seed=3, fraction=0.01))
-        crawls = crawl_all(Browser(internet=corpus.internet),
-                           corpus.domains[:8])
+        crawls = crawl_domains(corpus.internet, corpus.domains[:8],
+                               ExecutorOptions(workers=1))
         checked = 0
         for crawl in crawls.values():
             pre = preprocess_crawl(crawl)

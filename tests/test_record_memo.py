@@ -13,6 +13,7 @@ digest once, whatever N is, sharded or not.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import json
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from repro.serve import (
     ServerConfig,
     build_snapshot,
     load_sharded_snapshot,
-    merged_snapshot,
     partition_snapshot,
     shard_for_domain,
     snapshot_fingerprint,
@@ -172,7 +172,7 @@ class TestShardedLoad:
             build_snapshot([_record(f"site{i}.com") for i in range(8)]), 2)
         write_sharded_snapshot(sharded, tmp_path)
         loaded = load_sharded_snapshot(tmp_path)
-        for record in loaded.records():
+        for record in loaded.records:
             assert record.canonical() == \
                 canonical_json(json.loads(record.to_json()))
         calls = []
@@ -203,23 +203,22 @@ def test_reused_forms_and_rows_equal_a_fresh_build(shards):
         RecordPatch.upsert(third, dataclasses.replace(golden[2]))]
     if shards > 1:
         refreshed = apply_patches_sharded(served, patches).sharded
-        expected = merged_snapshot(refreshed)
     else:
-        refreshed = expected = apply_patches(served, patches)
+        refreshed = apply_patches(served, patches)
     report = server.swap_snapshot(refreshed)
     assert report.shards_rebuilt >= 1
-    rebuilt = CorpusIndex.build(expected)
+    rebuilt = CorpusIndex.build(refreshed)
     for field in dataclasses.fields(CorpusIndex):
         assert getattr(server.index, field.name) == \
             getattr(rebuilt, field.name), field.name
 
 
 def _delta_costs(n: int, shards: int,
-                 monkeypatch) -> tuple[int, int, list[str], list[str]]:
-    """Serializations and record-set digests in one 3-patch refresh, and
-    the records its swap compiles and whose contributions it applies,
-    over ``n`` records served in ``shards`` shards (1: an unsharded
-    server)."""
+                 monkeypatch) -> tuple[int, int, list[str], list[str], int]:
+    """Serializations and record-set digests in one 3-patch refresh, the
+    records its swap compiles and whose contributions it applies, and the
+    k-way merges of a shard set in the refresh and the swap, over ``n``
+    records served in ``shards`` shards (1: an unsharded server)."""
     snapshot = build_snapshot([_record(f"site{i}.com") for i in range(n)])
     served = partition_snapshot(snapshot, shards) if shards > 1 else snapshot
     server = AnnotationServer(served, ServerConfig(shards=shards))
@@ -230,7 +229,9 @@ def _delta_costs(n: int, shards: int,
     digests: list[int] = []
     compiled: list[str] = []
     contributed: list[str] = []
+    merges: list[int] = []
     to_json = DomainAnnotations.to_json
+    merge = heapq.merge
     records_digest = snapshot_mod._records_digest
     compile_record = index_mod.compile_record
     record_contribution = index_mod.record_contribution
@@ -248,6 +249,10 @@ def _delta_costs(n: int, shards: int,
         index_mod, "record_contribution",
         lambda record, form: contributed.append(record.domain)
         or record_contribution(record, form))
+    monkeypatch.setattr(
+        heapq, "merge",
+        lambda *iterables, **kwargs: merges.append(1)
+        or merge(*iterables, **kwargs))
     if shards > 1:
         refreshed = apply_patches_sharded(served, patches).sharded
     else:
@@ -258,7 +263,7 @@ def _delta_costs(n: int, shards: int,
     assert len(serialized) == refresh_serialized  # the swap renders none
     monkeypatch.undo()
     return (refresh_serialized, refresh_digests, sorted(compiled),
-            sorted(contributed))
+            sorted(contributed), len(merges))
 
 
 def test_refresh_and_swap_cost_the_delta_not_the_corpus(monkeypatch):
@@ -278,4 +283,7 @@ def test_refresh_and_swap_cost_the_delta_not_the_corpus(monkeypatch):
         # The swap takes away each replaced record's contribution and
         # adds its new one's; no other record is re-indexed.
         assert small[3] == sorted(patched * 2), shards
+        # A shard set is the snapshot it was cut from: neither the
+        # refresh nor the swap merges its shards back together.
+        assert small[4] == 0, shards
         assert small == large, shards

@@ -41,10 +41,10 @@ from repro.serve import (
     DomainLookup,
     QueryEngine,
     ServerConfig,
+    ShardedEngine,
     build_snapshot,
     partition_snapshot,
 )
-from repro.serve.shard import engine_for
 
 GOLDEN = read_jsonl(Path(__file__).parent / "golden" / "records.jsonl")
 
@@ -148,9 +148,12 @@ def _check_bodies(initial, shards, steps) -> None:
         _apply(edits, records, launched)
         retired |= before - set(records)
         snapshot = build_snapshot(list(records.values()))
-        served = snapshot if shards is None \
-            else partition_snapshot(snapshot, shards)
-        engine = engine_for(served, reuse_from=engine)
+        if shards is None:
+            engine = QueryEngine(CorpusIndex.patched(engine and engine.index,
+                                                     snapshot))
+        else:
+            engine = ShardedEngine(partition_snapshot(snapshot, shards),
+                                   reuse_from=engine)
         _assert_bodies(engine, retired)
 
 

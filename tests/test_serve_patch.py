@@ -33,9 +33,9 @@ from repro.pipeline.records import DomainAnnotations, read_jsonl
 from repro.serve import (
     AnnotationServer,
     CorpusIndex,
+    CorpusSnapshot,
     ShardedSnapshot,
     build_snapshot,
-    merged_snapshot,
     partition_snapshot,
 )
 
@@ -130,6 +130,14 @@ def test_patched_index_equals_a_cold_build_deep(initial, shards, steps):
     _check_swaps(initial, shards, steps)
 
 
+def _unsharded(snapshot: CorpusSnapshot) -> CorpusSnapshot:
+    """``snapshot`` as a plain snapshot: a shard set without its shards."""
+    return CorpusSnapshot(records=snapshot.records,
+                          fingerprint=snapshot.fingerprint,
+                          source=snapshot.source,
+                          provenance=snapshot.provenance)
+
+
 def _check_swaps(initial, shards, steps) -> None:
     """Serve ``initial`` (after two golden records), run ``steps`` as
     swaps, and compare every generation's index with a cold build."""
@@ -146,24 +154,21 @@ def _check_swaps(initial, shards, steps) -> None:
     for step in steps:
         if step[0] == "repartition":
             shards = step[1]
-            snapshot = (merged_snapshot(served)
-                        if isinstance(served, ShardedSnapshot) else served)
-            served = partition_snapshot(snapshot, shards) if shards \
-                else snapshot
+            served = partition_snapshot(served, shards) if shards \
+                else _unsharded(served)
         else:
             patches = _patches(step, records, launched)
             if isinstance(served, ShardedSnapshot):
                 served = apply_patches_sharded(served, patches).sharded
-                snapshot = merged_snapshot(served)
             else:
-                served = snapshot = apply_patches(served, patches)
+                served = apply_patches(served, patches)
         previous = server.index
         report = server.swap_snapshot(served)
         if shards:
             assert report.shards_reused + report.shards_rebuilt == shards
         # The replaced generation is as it was: nothing wrote to it.
         _assert_fields_equal(previous, reference, "previous")
-        reference = CorpusIndex.build(snapshot)
+        reference = CorpusIndex.build(served)
         _assert_fields_equal(server.index, reference, step)
 
 

@@ -28,6 +28,7 @@ from repro.serve import (
     AspectMentions,
     ComplianceScan,
     CorpusIndex,
+    CorpusSnapshot,
     DomainLookup,
     FacetFilter,
     FaultPlan,
@@ -41,11 +42,12 @@ from repro.serve import (
     WorkloadConfig,
     build_snapshot,
     load_sharded_snapshot,
-    merged_snapshot,
+    load_snapshot,
     partition_snapshot,
     run_chaos,
     shard_for_domain,
     write_sharded_snapshot,
+    write_snapshot,
 )
 
 GOLDEN_RECORDS = Path(__file__).parent / "golden" / "records.jsonl"
@@ -139,9 +141,13 @@ class TestPartition:
         assert sharded.shard_count == 3
         assert sharded.fingerprint == snapshot.fingerprint
         assert sharded.domain_count() == snapshot.domain_count()
-        merged = merged_snapshot(sharded)
-        assert merged.fingerprint == snapshot.fingerprint
-        assert merged == snapshot
+        # The shard set is the snapshot it was cut from, field by field:
+        # records, fingerprint, source and provenance.
+        assert isinstance(sharded, CorpusSnapshot)
+        for field in dataclasses.fields(CorpusSnapshot):
+            assert getattr(sharded, field.name) == \
+                getattr(snapshot, field.name), field.name
+        assert sharded.records is snapshot.records
 
     def test_every_record_lands_on_its_hash_shard(self):
         sharded = partition_snapshot(_snapshot(), 4)
@@ -165,6 +171,20 @@ class TestShardedDisk:
         loaded = load_sharded_snapshot(directory)
         assert loaded.fingerprint == snapshot.fingerprint
         assert loaded.shard_count == 3
+
+    def test_write_snapshot_of_a_shard_set_is_the_plain_file(self,
+                                                            tmp_path):
+        """A shard set written as one snapshot file is, byte for byte,
+        the file of the snapshot it was cut from, and loads back with
+        its fingerprint."""
+        snapshot = _snapshot()
+        sharded = partition_snapshot(snapshot, 3)
+        plain = write_snapshot(snapshot, tmp_path / "plain.snap.json")
+        cut = write_snapshot(sharded, tmp_path / "sharded.snap.json")
+        assert cut.read_bytes() == plain.read_bytes()
+        loaded = load_snapshot(cut)
+        assert loaded.fingerprint == sharded.fingerprint
+        assert loaded.records == sharded.records
 
     def test_missing_shard_file_detected(self, tmp_path):
         directory = tmp_path / "corpus.sharded"
@@ -226,7 +246,7 @@ def _edited(sharded):
     return apply_patches_sharded(sharded, [
         RecordPatch.upsert(record.domain,
                            dataclasses.replace(record, sector="XX"))
-        for record in sharded.records()]).sharded
+        for record in sharded.records]).sharded
 
 
 def _listing(directory):
@@ -248,7 +268,7 @@ class TestShardedWriter:
         old = partition_snapshot(_snapshot(12), 4)
         new = _edited(old)
         if change == "repartition":
-            new = partition_snapshot(merged_snapshot(new), 3)
+            new = partition_snapshot(new, 3)
         probe = tmp_path / "probe"
         write_sharded_snapshot(old, probe)
         pending = len(write_sharded_snapshot(new, probe))
@@ -276,7 +296,7 @@ class TestShardedWriter:
             monkeypatch.setattr(shard_mod, name, real)
             loaded = load_sharded_snapshot(directory)
             assert loaded.fingerprint == old.fingerprint, (name, point)
-            assert loaded.records() == old.records(), (name, point)
+            assert loaded.records == old.records, (name, point)
             # The next write completes the interrupted one.
             write_sharded_snapshot(new, directory)
             loaded = load_sharded_snapshot(directory)
@@ -289,14 +309,14 @@ class TestShardedWriter:
         sharded = partition_snapshot(_snapshot(12), 4)
         write_sharded_snapshot(sharded, directory)
         for round_ in range(3):
-            record = sharded.records()[round_]
+            record = sharded.records[round_]
             sharded = apply_patches_sharded(sharded, [RecordPatch.upsert(
                 record.domain, dataclasses.replace(record, sector="XX"))
             ]).sharded
             written = write_sharded_snapshot(sharded, directory)
             assert len(written) == 1
             assert _listing(directory) == _named(directory)
-        resharded = partition_snapshot(merged_snapshot(sharded), 7)
+        resharded = partition_snapshot(sharded, 7)
         write_sharded_snapshot(resharded, directory)
         assert _listing(directory) == _named(directory)
         assert len(_shard_paths(directory)) == 7
@@ -320,7 +340,7 @@ class TestShardedWriter:
         manifest_path.write_text(json.dumps(manifest))
         loaded = load_sharded_snapshot(directory)
         assert loaded.fingerprint == sharded.fingerprint
-        assert loaded.records() == sharded.records()
+        assert loaded.records == sharded.records
         assert len(write_sharded_snapshot(loaded, directory)) == 3
         assert _listing(directory) == _named(directory)
         assert not (directory / "shard-0000.snap.json").exists()
